@@ -1,8 +1,8 @@
 """Command-line front end: evaluate, compare, classify, dilate, verify.
 
 Exit codes: 0 success (or a true verdict), 1 false/mismatch, 2 usage
-error, 3 input error.  Boolean queries never conflate a false answer
-with a failure to compute one.
+error, 3 input error or internal failure.  Boolean queries never
+conflate a false answer with a failure to compute one.
 
 Output is deterministic for fixed inputs and flags.  Relations print
 either as canonical homogenized basis rows (`--print basis`) or as
@@ -321,6 +321,11 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 3
+    except Exception as exc:
+        # exit 1 is a "no" verdict; a crash must not read as one
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
         return 3
 
 

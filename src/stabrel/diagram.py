@@ -522,10 +522,20 @@ def _evaluate(d: Diagram, boxes, stack):
             if ep[0] == "n":
                 port_wire[(ep[1], ep[2], ep[3])] = w
 
+    # generator nodes of one kind, arity and phase share their relation;
+    # the memo holds only what those three determine, so a box node is
+    # still looked up, checked and evaluated from its sub-diagram
+    memo = {}
     blocks = []
     for nd in d.nodes:
-        rel = _node_relation(d, nd, boxes, stack)
-        rows = rel.constraint_rows()
+        key = (nd.kind, nd.n_in, nd.n_out, nd.phase)
+        if key in memo:
+            rel, rows = memo[key]
+        else:
+            rel = _node_relation(d, nd, boxes, stack)
+            rows = rel.constraint_rows()
+            if not nd.kind.startswith("box:"):
+                memo[key] = rel, rows
         if d.layer == LAYER_AFFINE:
             colmap = [wire_cols[port_wire[(nd.ident, "in", k)]][0]
                       for k in range(nd.n_in)]

@@ -8,10 +8,16 @@ an ordinary affine relation over the flattened coordinates, and circuit
 composition is relational composition.
 
 Pure maps double as the pair (companion on the z grading, original on
-the x grading); phased spiders are derived from that wiring, with one
-internal feedback wire carrying the linear phase through a scalar.  All
-computations are uniform in the prime p.  At p = 2 the phase group used
-here captures the CSS fragment of qubit stabilizer theory only, so
+the x grading).  The phased spiders, the Fourier gate and its inverse,
+and the x-basis measurement and preparation are built in closed form,
+each from one system of constraints.  `tests/oracles.py` derives each
+of them a second way, as the reference the tests compare them with:
+the spiders by wiring plain affine spiders together, with a feedback
+wire carrying the linear phase through a scalar, and the Fourier gate
+by composing its three-spider Euler decomposition.
+
+All computations are uniform in the prime p.  At p = 2 the phase group
+used here captures the CSS fragment of qubit stabilizer theory only, so
 qubit-soundness claims should be restricted accordingly; odd primes are
 the intended regime.
 """
@@ -251,44 +257,43 @@ def double(f: AffineRelation) -> GradedRelation:
 
 
 # ---------------------------------------------------------------------------
-# phased spiders, derived from the doubled wiring
+# phased spiders, in closed form
 
 
-def _trace_with_scalar(f: AffineRelation, b) -> AffineRelation:
-    """Feed f's last output through scalar(b) back into its last input."""
-    p = f.p
-    k, l = f.dom - 1, f.cod - 1
-    lhs = ar.tensor(ar.identity(p, k), ar.cup_z(p))
-    mid = ar.tensor(f, ar.identity(p, 1))
-    feed = ar.tensor(ar.identity(p, l),
-                     ar.compose(ar.tensor(ar.scalar(p, b), ar.identity(p, 1)),
-                                ar.cap_z(p)))
-    return ar.compose(ar.compose(lhs, mid), feed)
+def _spider(p, n: int, m: int, phase, grade: int) -> GradedRelation:
+    """Doubled spider whose `grade` coordinates (0 = z, 1 = x) all equal
+    one value t, while the other grade's outputs minus its inputs sum to
+    a + b t.  With no legs it is the scalar: total when a + b t = 0 is
+    solvable (b != 0 or a = 0), empty otherwise."""
+    a, b = _as_phase(p, phase)
+    dom, cod = quantum_wires(n), quantum_wires(m)
+    if n + m == 0:
+        rel = ar.total(p, 0, 0) if b or not a else ar.empty(p, 0, 0)
+        return GradedRelation(p, dom, cod, rel)
+    ins = (list(range(n)), list(range(n, 2 * n)))
+    outs = (list(range(2 * n, 2 * n + m)),
+            list(range(2 * n + m, 2 * (n + m))))
+    equal = ins[grade] + outs[grade]
+    rows = np.zeros((len(equal), 2 * (n + m)), dtype=np.int64)
+    for i in range(len(equal) - 1):
+        rows[i, equal[i]], rows[i, equal[i + 1]] = 1, -1
+    rows[-1, ins[1 - grade]] = -1
+    rows[-1, outs[1 - grade]] = 1
+    rows[-1, equal[0]] = -b
+    consts = np.zeros(len(equal), dtype=np.int64)
+    consts[-1] = a
+    rel = AffineRelation.from_constraints(p, 2 * n, 2 * m, rows, consts)
+    return GradedRelation(p, dom, cod, rel)
 
 
 def z_spider(p, n_in: int, n_out: int, phase=(0, 0)) -> GradedRelation:
-    """Doubled Z spider: X-spider with the affine phase on the z grading,
-    plain Z spider on the x grading, linear phase fed back via a scalar."""
-    a, b = _as_phase(p, phase)
-    n, m = n_in, n_out
-    core = ar.tensor(ar.x_spider(p, n + 1, m, a), ar.z_spider(p, n, m + 1))
-    # dom is (z.., t, x..): move the feedback input last
-    perm = list(range(n)) + [2 * n] + list(range(n, 2 * n))
-    core = ar.compose(ar.permutation_relation(p, perm), core)
-    traced = _trace_with_scalar(core, b)
-    return GradedRelation(p, quantum_wires(n), quantum_wires(m), traced)
+    """Doubled Z spider: every x equals t; sum z_out - sum z_in = a + b t."""
+    return _spider(p, n_in, n_out, phase, 1)
 
 
 def x_spider(p, n_in: int, n_out: int, phase=(0, 0)) -> GradedRelation:
-    """Doubled X spider: the colour-swapped mirror of z_spider."""
-    a, b = _as_phase(p, phase)
-    n, m = n_in, n_out
-    core = ar.tensor(ar.z_spider(p, n, m + 1), ar.x_spider(p, n + 1, m, a))
-    # cod is (z.., t, x..): move the feedback output last
-    perm = list(range(m)) + list(range(m + 1, 2 * m + 1)) + [m]
-    core = ar.compose(core, ar.permutation_relation(p, perm))
-    traced = _trace_with_scalar(core, b)
-    return GradedRelation(p, quantum_wires(n), quantum_wires(m), traced)
+    """Doubled X spider: every z equals t; sum x_out - sum x_in = a + b t."""
+    return _spider(p, n_in, n_out, phase, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -304,16 +309,17 @@ def scaling_gate(p, a) -> GradedRelation:
 
 
 def fourier(p) -> GradedRelation:
-    """The Fourier gate via its three-spider Euler decomposition."""
-    return compose_all(z_spider(p, 1, 1, (0, 1)),
-                       x_spider(p, 1, 1, (0, p - 1)),
-                       z_spider(p, 1, 1, (0, 1)))
+    """The Fourier gate (z, x) -> (x, -z)."""
+    rel = AffineRelation.from_constraints(p, 2, 2, [[0, -1, 1, 0],
+                                                    [1, 0, 0, 1]], [0, 0])
+    return GradedRelation(p, quantum_wires(1), quantum_wires(1), rel)
 
 
 def fourier_dagger(p) -> GradedRelation:
-    return compose_all(z_spider(p, 1, 1, (0, p - 1)),
-                       x_spider(p, 1, 1, (0, 1)),
-                       z_spider(p, 1, 1, (0, p - 1)))
+    """The inverse Fourier gate (z, x) -> (-x, z)."""
+    rel = AffineRelation.from_constraints(p, 2, 2, [[0, 1, 1, 0],
+                                                    [1, 0, 0, -1]], [0, 0])
+    return GradedRelation(p, quantum_wires(1), quantum_wires(1), rel)
 
 
 def weyl(p, zvec, xvec) -> GradedRelation:
@@ -433,11 +439,15 @@ def prep_z(p) -> GradedRelation:
 
 
 def measure_x(p) -> GradedRelation:
-    return compose(fourier_dagger(p), measure_z(p))
+    """Destructive x-basis measurement; the outcome is the z coordinate."""
+    rel = AffineRelation.from_constraints(p, 2, 1, [[1, 0, -1]], [0])
+    return GradedRelation(p, quantum_wires(1), classical_wires(1), rel)
 
 
 def prep_x(p) -> GradedRelation:
-    return compose(prep_z(p), fourier(p))
+    """Preparation from a classical value; the converse convention of measure_x."""
+    rel = AffineRelation.from_constraints(p, 1, 2, [[1, -1, 0]], [0])
+    return GradedRelation(p, classical_wires(1), quantum_wires(1), rel)
 
 
 # ---------------------------------------------------------------------------

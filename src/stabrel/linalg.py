@@ -109,45 +109,6 @@ def solve_mod(mat, rhs, p: int) -> Optional[np.ndarray]:
     return x
 
 
-class FpMatrix:
-    """An exact matrix over F_p; entries stored reduced in [0, p)."""
-
-    __slots__ = ("p", "a")
-
-    def __init__(self, p, entries, shape=None):
-        self.p = p if isinstance(p, Prime) else Prime(p)
-        a = np.asarray(entries, dtype=np.int64)
-        if shape is not None:
-            a = a.reshape(shape)
-        if a.ndim != 2:
-            raise ValueError("FpMatrix needs a 2-d array, got ndim=%d" % a.ndim)
-        a = a % self.p
-        a.setflags(write=False)
-        self.a = a
-
-    @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FpMatrix)
-            and self.p == other.p
-            and self.a.shape == other.a.shape
-            and np.array_equal(self.a, other.a)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.a.shape, self.a.tobytes()))
-
-    def __repr__(self):
-        return "FpMatrix(p=%d, %r)" % (self.p, self.a.tolist())
-
-
 class Subspace:
     """Row space of a matrix over F_p, stored as an RREF basis.
 
@@ -228,17 +189,6 @@ class Subspace:
         return "Subspace(p=%d, n=%d, rows=%r)" % (self.p, self.ambient_dim, self.basis.tolist())
 
 
-def rref(m: FpMatrix) -> Tuple[FpMatrix, List[int]]:
-    """RREF of an FpMatrix; returns (reduced matrix, pivot columns)."""
-    red, piv = rref_mod(m.a, m.p)
-    return FpMatrix(m.p, red.reshape(-1, m.cols)), piv
-
-
-def kernel(m: FpMatrix) -> Subspace:
-    """{v : m v^T = 0} as a Subspace of F_p^cols."""
-    return Subspace(m.p, m.cols, nullspace_mod(m.a, m.p))
-
-
 def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection of two subspaces of the same ambient space."""
     if a.p != b.p or a.ambient_dim != b.ambient_dim:
@@ -255,8 +205,3 @@ def sum_spaces(a: Subspace, b: Subspace) -> Subspace:
         raise ValueError("subspace mismatch: F_%d^%d vs F_%d^%d"
                          % (a.p, a.ambient_dim, b.p, b.ambient_dim))
     return Subspace(a.p, a.ambient_dim, np.vstack([a.basis, b.basis]))
-
-
-def solve_affine(m: FpMatrix, rhs) -> Optional[np.ndarray]:
-    """Particular solution of m x = rhs, or None when the system is empty."""
-    return solve_mod(m.a, rhs, m.p)

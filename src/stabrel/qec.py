@@ -439,6 +439,11 @@ def parse_code_file(text: str, p=None) -> Tuple[StabilizerCode,
         if name not in values:
             raise ValueError("code file is missing %s=" % name)
     p, n, k = values["p"], values["n"], values["k"]
+    if n < 1:
+        raise ValueError("code file needs n >= 1, got n=%d" % n)
+    if not 0 <= k <= n:
+        raise ValueError("code file needs 0 <= k <= n, got k=%d with n=%d"
+                         % (k, n))
     space = sy.SymplecticSpace(p, n)
     gen_rows: List[List[int]] = []
     phases: List[int] = []

@@ -1,11 +1,20 @@
 """Brute-force reference semantics for the test suite.
 
-Everything in here enumerates points with plain Python integer
-arithmetic.  None of it calls the library's elimination routines, so
-these functions can serve as independent oracles for them.
+Everything but the last section enumerates points with plain Python
+integer arithmetic.  None of it calls the library's elimination
+routines, so these functions can serve as independent oracles for them.
+
+The last section derives the doubled generators that `stabrel.doubled`
+builds in closed form from a different route: wiring the plain affine
+spiders together with `relation.compose`/`tensor`, one feedback wire
+carrying the linear phase through a scalar, and composing the Fourier
+gate from its three-spider Euler decomposition.
 """
 
 import itertools
+
+from stabrel import doubled as db
+from stabrel import relation as ar
 
 
 def vectors(p, n):
@@ -126,3 +135,65 @@ def symp_complement_points(pts, p, n):
 def graded_rel_points(g):
     """Decode a GradedRelation to its flattened point set."""
     return rel_points(g.rel)
+
+
+# ---------------------------------------------------------------------------
+# the doubled generators, derived from wiring
+
+
+def _trace_with_scalar(f, b):
+    """Feed f's last output through scalar(b) back into its last input."""
+    p = f.p
+    k, l = f.dom - 1, f.cod - 1
+    lhs = ar.tensor(ar.identity(p, k), ar.cup_z(p))
+    mid = ar.tensor(f, ar.identity(p, 1))
+    feed = ar.tensor(ar.identity(p, l),
+                     ar.compose(ar.tensor(ar.scalar(p, b), ar.identity(p, 1)),
+                                ar.cap_z(p)))
+    return ar.compose(ar.compose(lhs, mid), feed)
+
+
+def wired_z_spider(p, n, m, phase):
+    """X-spider with the affine phase on the z grading, plain Z spider on
+    the x grading, linear phase fed back via a scalar."""
+    a, b = int(phase[0]) % p, int(phase[1]) % p
+    core = ar.tensor(ar.x_spider(p, n + 1, m, a), ar.z_spider(p, n, m + 1))
+    # dom is (z.., t, x..): move the feedback input last
+    perm = list(range(n)) + [2 * n] + list(range(n, 2 * n))
+    core = ar.compose(ar.permutation_relation(p, perm), core)
+    traced = _trace_with_scalar(core, b)
+    return db.GradedRelation(p, db.quantum_wires(n), db.quantum_wires(m),
+                             traced)
+
+
+def wired_x_spider(p, n, m, phase):
+    """The colour-swapped mirror of wired_z_spider."""
+    a, b = int(phase[0]) % p, int(phase[1]) % p
+    core = ar.tensor(ar.z_spider(p, n, m + 1), ar.x_spider(p, n + 1, m, a))
+    # cod is (z.., t, x..): move the feedback output last
+    perm = list(range(m)) + list(range(m + 1, 2 * m + 1)) + [m]
+    core = ar.compose(core, ar.permutation_relation(p, perm))
+    traced = _trace_with_scalar(core, b)
+    return db.GradedRelation(p, db.quantum_wires(n), db.quantum_wires(m),
+                             traced)
+
+
+def euler_fourier(p):
+    """The Fourier gate as Z(0, 1) ; X(0, -1) ; Z(0, 1)."""
+    return db.compose_all(wired_z_spider(p, 1, 1, (0, 1)),
+                          wired_x_spider(p, 1, 1, (0, p - 1)),
+                          wired_z_spider(p, 1, 1, (0, 1)))
+
+
+def euler_fourier_dagger(p):
+    return db.compose_all(wired_z_spider(p, 1, 1, (0, p - 1)),
+                          wired_x_spider(p, 1, 1, (0, 1)),
+                          wired_z_spider(p, 1, 1, (0, p - 1)))
+
+
+def wired_measure_x(p):
+    return db.compose(euler_fourier_dagger(p), db.measure_z(p))
+
+
+def wired_prep_x(p):
+    return db.compose(db.prep_z(p), euler_fourier(p))

@@ -212,3 +212,26 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["eval", "x.diagram", "--print", "words"])
     assert info.value.code == 2
+
+
+def test_internal_failure_is_not_a_no(capsys, monkeypatch):
+    def crash(args):
+        raise AssertionError("invariant broken")
+
+    monkeypatch.setattr(cli, "cmd_eval", crash)
+    code, out, err = run(capsys, "eval", fx("identity.diagram"))
+    assert (code, out) == (3, "")
+    assert err == "internal error: AssertionError: invariant broken\n"
+
+
+def test_code_file_size_checks(capsys, tmp_path):
+    empty = tmp_path / "n0.code"
+    empty.write_text("p=3\nn=0\nk=0\n")
+    code, _, err = run(capsys, "syndrome", str(empty), "|")
+    assert code == 3
+    assert "needs n >= 1, got n=0" in err
+    wide = tmp_path / "k3.code"
+    wide.write_text("p=3\nn=2\nk=3\n")
+    code, _, err = run(capsys, "syndrome", str(wide), "0,0|0,0")
+    assert code == 3
+    assert "needs 0 <= k <= n, got k=3 with n=2" in err

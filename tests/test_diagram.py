@@ -377,3 +377,102 @@ def test_to_text_round_trip():
         text = dg.to_text(d)
         assert dg.to_text(dg.parse(text)) == text
         assert dg.evaluate(dg.parse(text)) == dg.evaluate(d)
+
+
+def test_repeated_kinds_keep_their_own_phase_and_arity():
+    # same kind and arity with different phases, and same kind and
+    # phase with different arities, in one diagram
+    d = dg.parse("""p=5; layer=doubled
+node 0 z_spider phase=1,0 arity_in=1 arity_out=1
+node 1 z_spider phase=2,3 arity_in=1 arity_out=1
+node 2 z_spider phase=2,3 arity_in=1 arity_out=2
+node 3 x_spider phase=2,3 arity_in=2 arity_out=1
+node 4 x_spider phase=2,3 arity_in=1 arity_out=1
+node 5 x_spider phase=4,1 arity_in=1 arity_out=1
+node 6 z_spider phase=1,0 arity_in=1 arity_out=1
+wire in0 n0.in0
+wire n0.out0 n1.in0
+wire n1.out0 n2.in0
+wire n2.out0 n3.in0
+wire n2.out1 n3.in1
+wire n3.out0 n4.in0
+wire n4.out0 n5.in0
+wire n5.out0 out0
+wire in1 n6.in0
+wire n6.out0 out1
+""")
+    p = 5
+    chain = db.compose_all(db.z_spider(p, 1, 1, (1, 0)),
+                           db.z_spider(p, 1, 1, (2, 3)),
+                           db.z_spider(p, 1, 2, (2, 3)),
+                           db.x_spider(p, 2, 1, (2, 3)),
+                           db.x_spider(p, 1, 1, (2, 3)),
+                           db.x_spider(p, 1, 1, (4, 1)))
+    assert dg.evaluate(d) == db.tensor(chain, db.z_spider(p, 1, 1, (1, 0)))
+
+    a = dg.parse("""p=7; layer=affine
+node 0 scalar phase=2
+node 1 scalar phase=3
+node 2 x_spider phase=1 arity_in=1 arity_out=2
+node 3 x_spider phase=1 arity_in=2 arity_out=1
+node 4 x_spider phase=5 arity_in=1 arity_out=1
+node 5 scalar phase=2
+wire in0 n0.in0
+wire n0.out0 n1.in0
+wire n1.out0 n2.in0
+wire n2.out0 n3.in0
+wire n2.out1 n3.in1
+wire n3.out0 n4.in0
+wire n4.out0 out0
+wire in1 n5.in0
+wire n5.out0 out1
+""")
+    p = 7
+    chain = ar.compose_all(ar.scalar(p, 2), ar.scalar(p, 3),
+                           ar.x_spider(p, 1, 2, 1), ar.x_spider(p, 2, 1, 1),
+                           ar.x_spider(p, 1, 1, 5))
+    assert dg.evaluate(a) == ar.tensor(chain, ar.scalar(p, 2))
+
+
+def test_teleport_chain_fuses():
+    """Four teleports with one-wire spiders between them: teleportation is
+    the identity, so the chain fuses to one Z and one X spider."""
+    rng = random.Random(53)
+    for p in (3, 5, 7):
+        tele = fixture("teleport.diagram", p=p)
+        chain, total = tele, {"z_spider": [0, 0], "x_spider": [0, 0]}
+        for kind in ("z_spider", "z_spider", "x_spider", "x_spider"):
+            phase = (rng.randrange(p), rng.randrange(p))
+            total[kind] = [(s + v) % p for s, v in zip(total[kind], phase)]
+            spider = _single_node(p, dg.LAYER_DOUBLED, kind, phase, 1, 1)
+            chain = dg.compose_diagrams(dg.compose_diagrams(chain, spider),
+                                        tele)
+        got = dg.evaluate(dg.parse(dg.to_text(chain)))
+        z, x = tuple(total["z_spider"]), tuple(total["x_spider"])
+        want = dg.compose_diagrams(
+            _single_node(p, dg.LAYER_DOUBLED, "z_spider", z, 1, 1),
+            _single_node(p, dg.LAYER_DOUBLED, "x_spider", x, 1, 1))
+        assert got == dg.evaluate(dg.parse(dg.to_text(want)))
+        bumped = db.compose(db.z_spider(p, 1, 1, (z[0], z[1] + 1)),
+                            db.x_spider(p, 1, 1, x))
+        assert got != bumped
+
+
+def test_repeated_and_self_referencing_boxes():
+    euler = fixture("fourier_euler.diagram")
+    twice = dg.parse("p=3; layer=doubled\n"
+                     "node 0 box:f arity_in=1 arity_out=1\n"
+                     "node 1 box:f arity_in=1 arity_out=1\n"
+                     "wire in0 n0.in0\nwire n0.out0 n1.in0\n"
+                     "wire n1.out0 out0\n")
+    f = db.fourier(3)
+    assert dg.evaluate(twice, boxes={"f": euler}) == db.compose(f, f)
+    loop = dg.parse("p=3; layer=doubled\n"
+                    "node 0 z_spider arity_in=1 arity_out=1\n"
+                    "node 1 box:f arity_in=1 arity_out=1\n"
+                    "wire in0 n0.in0\nwire n0.out0 n1.in0\n"
+                    "wire n1.out0 out0\n")
+    with pytest.raises(DiagramError, match="recursively"):
+        dg.evaluate(loop, boxes={"f": loop})
+    with pytest.raises(DiagramError, match="recursively"):
+        dg.evaluate(twice, boxes={"f": twice})

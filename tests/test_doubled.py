@@ -9,6 +9,7 @@ from stabrel import symplectic as sy
 from stabrel.doubled import CLASSICAL, QUANTUM, GradedRelation
 from stabrel.relation import AffineRelation
 
+import oracles
 from gen import random_circuit, random_relation
 
 
@@ -64,6 +65,22 @@ def test_spider_closed_forms():
                             z_closed_form(p, n, m, a, b)
                         assert db.x_spider(p, n, m, (a, b)).rel == \
                             x_closed_form(p, n, m, a, b)
+
+
+def test_closed_forms_match_wiring_oracle():
+    for p in (2, 3, 5, 7):
+        for n in range(4):
+            for m in range(4):
+                for a in range(p):
+                    for b in range(p):
+                        assert db.z_spider(p, n, m, (a, b)) == \
+                            oracles.wired_z_spider(p, n, m, (a, b))
+                        assert db.x_spider(p, n, m, (a, b)) == \
+                            oracles.wired_x_spider(p, n, m, (a, b))
+        assert db.fourier(p) == oracles.euler_fourier(p)
+        assert db.fourier_dagger(p) == oracles.euler_fourier_dagger(p)
+        assert db.measure_x(p) == oracles.wired_measure_x(p)
+        assert db.prep_x(p) == oracles.wired_prep_x(p)
 
 
 def test_scalar_spiders():
