@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help_text):
-        cmd = sub.add_parser(name, help=help_text)
+        cmd = sub.add_parser(name, help=help_text, description=help_text)
         cmd.set_defaults(func=func)
         cmd.add_argument("--p", type=_prime, default=None,
                          help="override the file's prime")
@@ -300,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("error")
 
     cmd = add("verify", cmd_verify,
-              "verify a correction table against an error file")
+              "verify a correction table against an error file; an empty "
+              "error list verifies vacuously (VERIFIED: yes)")
     cmd.add_argument("code")
     cmd.add_argument("table")
     cmd.add_argument("errors")

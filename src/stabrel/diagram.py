@@ -10,12 +10,15 @@ loops need no special treatment -- they are just more equations.
 Two layers share the format:
 
 * ``layer=affine``  -- one coordinate per wire, nodes drawn from the
-  plain relational generators (`relation.generator`).  Evaluates to an
+  plain relational generators of `relation`.  Evaluates to an
   ``AffineRelation``.
 * ``layer=doubled`` -- quantum wires carry a (z, x) coordinate pair,
   classical wires one coordinate; the node vocabulary adds scaling,
   discard, measurements, preparations and classical spiders.  Evaluates
   to a ``GradedRelation``.
+
+`NODE_SPECS` lists every node kind of each layer with its arity, phase
+rule, port types and builder.
 
 File format, one statement per line, ``#`` starts a comment::
 
@@ -39,6 +42,7 @@ their arities in the file.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -129,85 +133,107 @@ class Diagram:
 # ---------------------------------------------------------------------------
 # node vocabulary
 
-_FIXED_ARITY = {
-    LAYER_AFFINE: {
-        "scalar": (1, 1), "co_scalar": (1, 1), "affine_unit": (0, 1),
-        "cup_z": (0, 2), "cap_z": (2, 0), "cup_x": (0, 2), "cap_x": (2, 0),
-        "swap": (2, 2),
-    },
-    LAYER_DOUBLED: {
-        "scaling": (1, 1), "discard": (1, 0), "codiscard": (0, 1),
-        "measure_z": (1, 1), "measure_x": (1, 1),
-        "prep_z": (1, 1), "prep_x": (1, 1),
-    },
+# One spec per (layer, kind).  `arity` is the fixed (n_in, n_out), or None
+# when the file declares it.  `phase` is the rule on the node's phase pair
+# (a, b): "none" (both zero), "single" (b zero), "invertible" (b zero and
+# a nonzero) or "pair" (any).  `ports` is the wire type of every input and
+# of every output, None on the untyped affine layer.  `build(p, n_in,
+# n_out, a, b)` returns the node's AffineRelation; builders look their
+# constructor up when called, so a patched module attribute is seen.
+NodeSpec = namedtuple("NodeSpec", ["arity", "phase", "ports", "build"])
+
+NODE_SPECS = {
+    (LAYER_AFFINE, "z_spider"): NodeSpec(
+        None, "none", None, lambda p, n, m, a, b: ar.z_spider(p, n, m)),
+    (LAYER_AFFINE, "x_spider"): NodeSpec(
+        None, "single", None, lambda p, n, m, a, b: ar.x_spider(p, n, m, a)),
+    (LAYER_AFFINE, "scalar"): NodeSpec(
+        (1, 1), "single", None, lambda p, n, m, a, b: ar.scalar(p, a)),
+    (LAYER_AFFINE, "co_scalar"): NodeSpec(
+        (1, 1), "single", None, lambda p, n, m, a, b: ar.co_scalar(p, a)),
+    (LAYER_AFFINE, "affine_unit"): NodeSpec(
+        (0, 1), "none", None, lambda p, n, m, a, b: ar.affine_unit(p)),
+    (LAYER_AFFINE, "cup_z"): NodeSpec(
+        (0, 2), "none", None, lambda p, n, m, a, b: ar.cup_z(p)),
+    (LAYER_AFFINE, "cap_z"): NodeSpec(
+        (2, 0), "none", None, lambda p, n, m, a, b: ar.cap_z(p)),
+    (LAYER_AFFINE, "cup_x"): NodeSpec(
+        (0, 2), "none", None, lambda p, n, m, a, b: ar.cup_x(p)),
+    (LAYER_AFFINE, "cap_x"): NodeSpec(
+        (2, 0), "none", None, lambda p, n, m, a, b: ar.cap_x(p)),
+    (LAYER_AFFINE, "swap"): NodeSpec(
+        (2, 2), "none", None, lambda p, n, m, a, b: ar.swap(p)),
+    (LAYER_DOUBLED, "z_spider"): NodeSpec(
+        None, "pair", (QUANTUM, QUANTUM),
+        lambda p, n, m, a, b: db.z_spider(p, n, m, (a, b)).rel),
+    (LAYER_DOUBLED, "x_spider"): NodeSpec(
+        None, "pair", (QUANTUM, QUANTUM),
+        lambda p, n, m, a, b: db.x_spider(p, n, m, (a, b)).rel),
+    (LAYER_DOUBLED, "scaling"): NodeSpec(
+        (1, 1), "invertible", (QUANTUM, QUANTUM),
+        lambda p, n, m, a, b: db.scaling_gate(p, a).rel),
+    (LAYER_DOUBLED, "discard"): NodeSpec(
+        (1, 0), "none", (QUANTUM, QUANTUM),
+        lambda p, n, m, a, b: db.discard(p).rel),
+    (LAYER_DOUBLED, "codiscard"): NodeSpec(
+        (0, 1), "none", (QUANTUM, QUANTUM),
+        lambda p, n, m, a, b: db.codiscard(p).rel),
+    (LAYER_DOUBLED, "measure_z"): NodeSpec(
+        (1, 1), "none", (QUANTUM, CLASSICAL),
+        lambda p, n, m, a, b: db.measure_z(p).rel),
+    (LAYER_DOUBLED, "measure_x"): NodeSpec(
+        (1, 1), "none", (QUANTUM, CLASSICAL),
+        lambda p, n, m, a, b: db.measure_x(p).rel),
+    (LAYER_DOUBLED, "prep_z"): NodeSpec(
+        (1, 1), "none", (CLASSICAL, QUANTUM),
+        lambda p, n, m, a, b: db.prep_z(p).rel),
+    (LAYER_DOUBLED, "prep_x"): NodeSpec(
+        (1, 1), "none", (CLASSICAL, QUANTUM),
+        lambda p, n, m, a, b: db.prep_x(p).rel),
+    (LAYER_DOUBLED, "classical_z_spider"): NodeSpec(
+        None, "none", (CLASSICAL, CLASSICAL),
+        lambda p, n, m, a, b: db.classical_z_spider(p, n, m).rel),
+    (LAYER_DOUBLED, "classical_x_spider"): NodeSpec(
+        None, "single", (CLASSICAL, CLASSICAL),
+        lambda p, n, m, a, b: db.classical_x_spider(p, n, m, a).rel),
 }
-
-_VARIABLE_ARITY = {
-    LAYER_AFFINE: ("z_spider", "x_spider"),
-    LAYER_DOUBLED: ("z_spider", "x_spider",
-                    "classical_z_spider", "classical_x_spider"),
-}
-
-# kinds whose phase is a single affine value (the pair's linear slot must
-# stay zero); layer-2 z/x spiders take the full pair
-_SINGLE_PHASE = {"x_spider@affine", "scalar@affine", "co_scalar@affine",
-                 "scaling@doubled", "classical_x_spider@doubled"}
-_PAIR_PHASE = {"z_spider@doubled", "x_spider@doubled"}
-_REQUIRED_PHASE = {"scalar@affine", "co_scalar@affine", "scaling@doubled"}
-
-
-def _known_kind(layer, kind) -> bool:
-    if kind in _FIXED_ARITY[layer] or kind in _VARIABLE_ARITY[layer]:
-        return True
-    return layer == LAYER_DOUBLED and kind.startswith("box:")
 
 
 def _check_node(layer, p, nd: Node, line=None):
     kind, a, b = nd.kind, nd.phase[0], nd.phase[1]
-    if not _known_kind(layer, kind):
+    spec = NODE_SPECS.get((layer, kind))
+    if spec is None and not (layer == LAYER_DOUBLED and
+                             kind.startswith("box:")):
         raise DiagramError("unknown %s-layer node kind %r" % (layer, kind),
                            line)
     if nd.n_in < 0 or nd.n_out < 0:
         raise DiagramError("negative arity on node %d" % nd.ident, line)
-    fixed = _FIXED_ARITY[layer].get(kind)
-    if fixed is not None and (nd.n_in, nd.n_out) != fixed:
+    fixed = spec and spec.arity
+    if fixed and (nd.n_in, nd.n_out) != fixed:
         raise DiagramError("%s is %d->%d, got %d->%d" %
                            (kind, fixed[0], fixed[1], nd.n_in, nd.n_out),
                            line)
     if not (0 <= a < p and 0 <= b < p):
         raise DiagramError("phase %r out of range for p=%d" %
                            (nd.phase, int(p)), line)
-    key = "%s@%s" % (kind, layer)
-    if key in _PAIR_PHASE:
-        pass
-    elif key in _SINGLE_PHASE:
-        if b != 0:
-            raise DiagramError("%s takes a single phase value" % kind, line)
-    elif (a, b) != (0, 0):
+    rule = spec.phase if spec else "none"
+    if rule == "none" and (a, b) != (0, 0):
         raise DiagramError("%s takes no phase" % kind, line)
-    if key in _REQUIRED_PHASE and (a, b) == (0, 0) and kind == "scaling":
-        raise DiagramError("scaling coefficient must be invertible", line)
+    if rule in ("single", "invertible") and b != 0:
+        raise DiagramError("%s takes a single phase value" % kind, line)
+    if rule == "invertible" and a == 0:
+        raise DiagramError("%s coefficient must be invertible" % kind, line)
 
 
 def _port_types(layer, nd: Node, boxes=None):
     """Pinned wire types of a node's ports, or None when unconstrained."""
     if layer == LAYER_AFFINE:
         return None
-    kind = nd.kind
-    if kind in ("z_spider", "x_spider", "scaling", "discard", "codiscard"):
-        return ((QUANTUM,) * nd.n_in, (QUANTUM,) * nd.n_out)
-    if kind in ("measure_z", "measure_x"):
-        return ((QUANTUM,), (CLASSICAL,))
-    if kind in ("prep_z", "prep_x"):
-        return ((CLASSICAL,), (QUANTUM,))
-    if kind in ("classical_z_spider", "classical_x_spider"):
-        return ((CLASSICAL,) * nd.n_in, (CLASSICAL,) * nd.n_out)
-    if kind.startswith("box:"):
-        if boxes and kind[4:] in boxes:
-            sub = boxes[kind[4:]]
-            return (sub.dom_types(), sub.cod_types())
-        return None
-    raise AssertionError(kind)
+    if nd.kind.startswith("box:"):
+        sub = boxes.get(nd.kind[4:]) if boxes else None
+        return (sub.dom_types(), sub.cod_types()) if sub else None
+    tin, tout = NODE_SPECS[layer, nd.kind].ports
+    return ((tin,) * nd.n_in, (tout,) * nd.n_out)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +328,8 @@ def parse(text: str, p=None) -> Diagram:
                 else:
                     raise DiagramError("phase takes one or two values",
                                        lineno)
-            fixed = _FIXED_ARITY[layer].get(kind)
-            n_in, n_out = fixed if fixed else (1, 1)
+            spec = NODE_SPECS.get((layer, kind))
+            n_in, n_out = spec.arity if spec and spec.arity else (1, 1)
             try:
                 if "arity_in" in kv:
                     n_in = int(kv["arity_in"])
@@ -442,58 +468,21 @@ def _ep_str(ep) -> str:
 # evaluation
 
 def _node_relation(d: Diagram, nd: Node, boxes, stack):
-    p = d.p
-    kind, (a, b) = nd.kind, nd.phase
-    if d.layer == LAYER_AFFINE:
-        if kind == "z_spider":
-            return ar.z_spider(p, nd.n_in, nd.n_out)
-        if kind == "x_spider":
-            return ar.x_spider(p, nd.n_in, nd.n_out, a)
-        if kind in ("scalar", "co_scalar"):
-            return ar.generator(p, kind, a=a)
-        return ar.generator(p, kind)
-    if kind == "z_spider":
-        return db.z_spider(p, nd.n_in, nd.n_out, (a, b)).rel
-    if kind == "x_spider":
-        return db.x_spider(p, nd.n_in, nd.n_out, (a, b)).rel
-    if kind == "scaling":
-        return db.scaling_gate(p, a).rel
-    if kind == "classical_z_spider":
-        return db.classical_z_spider(p, nd.n_in, nd.n_out).rel
-    if kind == "classical_x_spider":
-        return db.classical_x_spider(p, nd.n_in, nd.n_out, a).rel
-    if kind in ("discard", "codiscard", "measure_z", "measure_x",
-                "prep_z", "prep_x"):
-        return getattr(db, kind)(p).rel
-    if kind.startswith("box:"):
-        name = kind[4:]
-        if not boxes or name not in boxes:
-            raise DiagramError("unknown box %r" % name)
-        if name in stack:
-            raise DiagramError("box %r is recursively defined" % name)
-        sub = boxes[name]
-        if sub.p != p or sub.layer != d.layer:
-            raise DiagramError("box %r does not match p/layer" % name)
-        if (sub.n_in, sub.n_out) != (nd.n_in, nd.n_out):
-            raise DiagramError("box %r is %d->%d, node declares %d->%d" %
-                               (name, sub.n_in, sub.n_out,
-                                nd.n_in, nd.n_out))
-        return _evaluate(sub, boxes, stack | {name}).rel
-    raise AssertionError(kind)
-
-
-def _node_port_types(d: Diagram, nd: Node, boxes):
-    pinned = _port_types(d.layer, nd, boxes)
-    if pinned is not None:
-        return pinned
-    # untyped box: read the types off the incident wires
-    din: List[Optional[str]] = [None] * nd.n_in
-    dout: List[Optional[str]] = [None] * nd.n_out
-    for w, (a, b) in enumerate(d.wires):
-        for ep in (a, b):
-            if ep[0] == "n" and ep[1] == nd.ident:
-                (din if ep[2] == "in" else dout)[ep[3]] = d.wire_types[w]
-    return tuple(din), tuple(dout)
+    if not nd.kind.startswith("box:"):
+        return NODE_SPECS[d.layer, nd.kind].build(d.p, nd.n_in, nd.n_out,
+                                                  *nd.phase)
+    name = nd.kind[4:]
+    if not boxes or name not in boxes:
+        raise DiagramError("unknown box %r" % name)
+    if name in stack:
+        raise DiagramError("box %r is recursively defined" % name)
+    sub = boxes[name]
+    if sub.p != d.p or sub.layer != d.layer:
+        raise DiagramError("box %r does not match p/layer" % name)
+    if (sub.n_in, sub.n_out) != (nd.n_in, nd.n_out):
+        raise DiagramError("box %r is %d->%d, node declares %d->%d" %
+                           (name, sub.n_in, sub.n_out, nd.n_in, nd.n_out))
+    return _evaluate(sub, boxes, stack | {name}).rel
 
 
 def evaluate(d: Diagram, boxes=None):
@@ -542,7 +531,7 @@ def _evaluate(d: Diagram, boxes, stack):
             colmap += [wire_cols[port_wire[(nd.ident, "out", k)]][0]
                        for k in range(nd.n_out)]
         else:
-            tin, tout = _node_port_types(d, nd, boxes)
+            tin, tout = _port_types(d.layer, nd, boxes)
             if rel.dom != db.boundary_width(tin) or \
                     rel.cod != db.boundary_width(tout):
                 raise DiagramError(
@@ -766,8 +755,8 @@ def to_text(d: Diagram) -> str:
         parts = ["node %d %s" % (nd.ident, nd.kind)]
         if nd.phase != (0, 0):
             parts.append("phase=%d,%d" % nd.phase)
-        fixed = _FIXED_ARITY[d.layer].get(nd.kind)
-        if fixed is None:
+        spec = NODE_SPECS.get((d.layer, nd.kind))
+        if not (spec and spec.arity):
             parts.append("arity_in=%d" % nd.n_in)
             parts.append("arity_out=%d" % nd.n_out)
         lines.append(" ".join(parts))

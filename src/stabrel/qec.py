@@ -409,10 +409,14 @@ def _parse_row(text: str, n: int, no: int, allow_phase: bool = False):
     return zvec + xvec, phase
 
 
-def _parse_assignments(lines, names):
+def _parse_header(text: str, names, what: str, p):
+    """The file's `name=` assignments and its other lines.
+
+    Every name must be assigned once, a non-None `p` overrides the file's
+    prime, and the file must declare at least one qudit (n >= 1)."""
     values = {}
     rest = []
-    for no, line in lines:
+    for no, line in _strip_lines(text):
         key, sep, value = line.partition("=")
         key = key.strip()
         if sep and key in names:
@@ -424,6 +428,14 @@ def _parse_assignments(lines, names):
                 raise ValueError("line %d: %s must be an integer" % (no, key))
         else:
             rest.append((no, line))
+    if p is not None:
+        values["p"] = int(p)
+    for name in names:
+        if name not in values:
+            raise ValueError("%s file is missing %s=" % (what, name))
+    if values["n"] < 1:
+        raise ValueError("%s file needs n >= 1, got n=%d"
+                         % (what, values["n"]))
     return values, rest
 
 
@@ -432,31 +444,16 @@ def parse_code_file(text: str, p=None) -> Tuple[StabilizerCode,
     """Parse a code file into the code and its correction table, if any.
 
     A non-None `p` overrides the file's declared prime."""
-    values, rest = _parse_assignments(_strip_lines(text), ("p", "n", "k"))
-    if p is not None:
-        values["p"] = int(p)
-    for name in ("p", "n", "k"):
-        if name not in values:
-            raise ValueError("code file is missing %s=" % name)
+    values, rest = _parse_header(text, ("p", "n", "k"), "code", p)
     p, n, k = values["p"], values["n"], values["k"]
-    if n < 1:
-        raise ValueError("code file needs n >= 1, got n=%d" % n)
     if not 0 <= k <= n:
         raise ValueError("code file needs 0 <= k <= n, got k=%d with n=%d"
                          % (k, n))
     space = sy.SymplecticSpace(p, n)
     gen_rows: List[List[int]] = []
     phases: List[int] = []
-    entries: Dict[tuple, np.ndarray] = {}
     for no, line in rest:
-        if "->" in line:
-            left, _, right = line.partition("->")
-            key = tuple(_parse_ints(left.strip(), no))
-            row, _ = _parse_row(right.strip(), n, no)
-            if key in entries:
-                raise ValueError("line %d: duplicate syndrome %r" % (no, key))
-            entries[key] = np.asarray(row, dtype=np.int64)
-        else:
+        if "->" not in line:
             row, phase = _parse_row(line, n, no, allow_phase=True)
             gen_rows.append(row)
             phases.append(phase)
@@ -479,8 +476,8 @@ def parse_code_file(text: str, p=None) -> Tuple[StabilizerCode,
         shift = None
     subspace = sy.GradedSubspace(space, shift, linear)
     code = code_from_subspace(subspace, generators=gens)
-    table = CorrectionTable(p, n, n - k, entries) if entries else None
-    return code, table
+    table = parse_table_file(text, p, n, n - k)
+    return code, (table if table.entries else None)
 
 
 def parse_code_path(path, p=None) -> Tuple[StabilizerCode,
@@ -491,12 +488,7 @@ def parse_code_path(path, p=None) -> Tuple[StabilizerCode,
 
 def parse_subspace_file(text: str, p=None) -> sy.GradedSubspace:
     """Parse a subspace file: p=, n=, optional `shift z|x`, basis rows."""
-    values, rest = _parse_assignments(_strip_lines(text), ("p", "n"))
-    if p is not None:
-        values["p"] = int(p)
-    for name in ("p", "n"):
-        if name not in values:
-            raise ValueError("subspace file is missing %s=" % name)
+    values, rest = _parse_header(text, ("p", "n"), "subspace", p)
     p, n = values["p"], values["n"]
     space = sy.SymplecticSpace(p, n)
     shift = None

@@ -327,26 +327,3 @@ def permutation_relation(p, perm) -> AffineRelation:
         rows[i, j] = -1
         rows[i, n + i] = 1
     return AffineRelation.from_constraints(p, n, n, rows, np.zeros(n, dtype=np.int64))
-
-
-_GENERATORS = {
-    "z_spider": lambda p, n_in=1, n_out=1: z_spider(p, n_in, n_out),
-    "x_spider": lambda p, n_in=1, n_out=1, a=0: x_spider(p, n_in, n_out, a),
-    "scalar": lambda p, a: scalar(p, a),
-    "co_scalar": lambda p, a: co_scalar(p, a),
-    "affine_unit": lambda p: affine_unit(p),
-    "cup_z": lambda p: cup_z(p),
-    "cap_z": lambda p: cap_z(p),
-    "cup_x": lambda p: cup_x(p),
-    "cap_x": lambda p: cap_x(p),
-    "swap": lambda p: swap(p),
-}
-
-
-def generator(p, kind: str, **params) -> AffineRelation:
-    """Generator lookup by name; the vocabulary of layer-1 diagrams."""
-    try:
-        make = _GENERATORS[kind]
-    except KeyError:
-        raise ValueError("unknown generator kind %r" % kind) from None
-    return make(p, **params)

@@ -156,6 +156,12 @@ def test_verify_command(capsys, tmp_path):
     assert code == 1
     assert out == ("0,0,0|1,1,0 -> 0,1 FAIL (residual error after "
                    "correction)\nVERIFIED: no\n")
+    # no errors to check: the table verifies vacuously
+    none = tmp_path / "none.errors"
+    none.write_text("# nothing\n")
+    code, out, _ = run(capsys, "verify", fx("repetition3.code"),
+                       fx("repetition3.code"), str(none))
+    assert (code, out) == (0, "VERIFIED: yes\n")
 
 
 def test_demo_teleport(capsys):
@@ -235,3 +241,8 @@ def test_code_file_size_checks(capsys, tmp_path):
     code, _, err = run(capsys, "syndrome", str(wide), "0,0|0,0")
     assert code == 3
     assert "needs 0 <= k <= n, got k=3 with n=2" in err
+    no_qudits = tmp_path / "n0.subspace"
+    no_qudits.write_text("p=3\nn=0\n")
+    code, _, err = run(capsys, "classify", str(no_qudits))
+    assert code == 3
+    assert err == "error: subspace file needs n >= 1, got n=0\n"

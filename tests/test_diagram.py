@@ -45,36 +45,51 @@ def test_empty_fixture():
 
 
 def test_generator_diagrams_match_direct_construction():
-    cases = [
-        ("z_spider", (0, 0), 2, 3, ar.z_spider(5, 2, 3)),
-        ("x_spider", (2, 0), 3, 1, ar.x_spider(5, 3, 1, 2)),
-        ("scalar", (2, 0), 1, 1, ar.scalar(5, 2)),
-        ("co_scalar", (3, 0), 1, 1, ar.co_scalar(5, 3)),
-        ("affine_unit", (0, 0), 0, 1, ar.affine_unit(5)),
-        ("cup_z", (0, 0), 0, 2, ar.cup_z(5)),
-        ("cap_x", (0, 0), 2, 0, ar.cap_x(5)),
-        ("swap", (0, 0), 2, 2, ar.swap(5)),
-    ]
-    for kind, phase, n_in, n_out, want in cases:
-        d = _single_node(5, dg.LAYER_AFFINE, kind, phase, n_in, n_out)
+    """Every registered node kind, as a one-node diagram: it parses,
+    evaluates to its direct constructor, its builder's widths are those
+    of its port types, and `to_text` round-trips it."""
+    p, A, D = 5, dg.LAYER_AFFINE, dg.LAYER_DOUBLED
+    cases = {
+        (A, "z_spider"): ((0, 0), 2, 3, ar.z_spider(p, 2, 3)),
+        (A, "x_spider"): ((2, 0), 3, 1, ar.x_spider(p, 3, 1, 2)),
+        (A, "scalar"): ((2, 0), 1, 1, ar.scalar(p, 2)),
+        (A, "co_scalar"): ((3, 0), 1, 1, ar.co_scalar(p, 3)),
+        (A, "affine_unit"): ((0, 0), 0, 1, ar.affine_unit(p)),
+        (A, "cup_z"): ((0, 0), 0, 2, ar.cup_z(p)),
+        (A, "cap_z"): ((0, 0), 2, 0, ar.cap_z(p)),
+        (A, "cup_x"): ((0, 0), 0, 2, ar.cup_x(p)),
+        (A, "cap_x"): ((0, 0), 2, 0, ar.cap_x(p)),
+        (A, "swap"): ((0, 0), 2, 2, ar.swap(p)),
+        (D, "z_spider"): ((1, 2), 1, 2, db.z_spider(p, 1, 2, (1, 2))),
+        (D, "x_spider"): ((0, 4), 2, 1, db.x_spider(p, 2, 1, (0, 4))),
+        (D, "scaling"): ((2, 0), 1, 1, db.scaling_gate(p, 2)),
+        (D, "discard"): ((0, 0), 1, 0, db.discard(p)),
+        (D, "codiscard"): ((0, 0), 0, 1, db.codiscard(p)),
+        (D, "measure_z"): ((0, 0), 1, 1, db.measure_z(p)),
+        (D, "measure_x"): ((0, 0), 1, 1, db.measure_x(p)),
+        (D, "prep_z"): ((0, 0), 1, 1, db.prep_z(p)),
+        (D, "prep_x"): ((0, 0), 1, 1, db.prep_x(p)),
+        (D, "classical_z_spider"): ((0, 0), 2, 1,
+                                    db.classical_z_spider(p, 2, 1)),
+        (D, "classical_x_spider"): ((2, 0), 1, 2,
+                                    db.classical_x_spider(p, 1, 2, 2)),
+    }
+    assert set(cases) == set(dg.NODE_SPECS)
+    for (layer, kind), (phase, n_in, n_out, want) in cases.items():
+        spec = dg.NODE_SPECS[layer, kind]
+        d = _single_node(p, layer, kind, phase, n_in, n_out)
         assert dg.evaluate(d) == want, kind
-    doubled_cases = [
-        ("z_spider", (1, 2), 1, 2, db.z_spider(5, 1, 2, (1, 2))),
-        ("x_spider", (0, 4), 2, 1, db.x_spider(5, 2, 1, (0, 4))),
-        ("scaling", (2, 0), 1, 1, db.scaling_gate(5, 2)),
-        ("discard", (0, 0), 1, 0, db.discard(5)),
-        ("codiscard", (0, 0), 0, 1, db.codiscard(5)),
-        ("measure_z", (0, 0), 1, 1, db.measure_z(5)),
-        ("measure_x", (0, 0), 1, 1, db.measure_x(5)),
-        ("prep_z", (0, 0), 1, 1, db.prep_z(5)),
-        ("prep_x", (0, 0), 1, 1, db.prep_x(5)),
-        ("classical_z_spider", (0, 0), 2, 1, db.classical_z_spider(5, 2, 1)),
-        ("classical_x_spider", (2, 0), 1, 2,
-         db.classical_x_spider(5, 1, 2, 2)),
-    ]
-    for kind, phase, n_in, n_out, want in doubled_cases:
-        d = _single_node(5, dg.LAYER_DOUBLED, kind, phase, n_in, n_out)
-        assert dg.evaluate(d) == want, kind
+        built = spec.build(d.p, n_in, n_out, *phase)
+        if layer == A:
+            assert (built.dom, built.cod) == (n_in, n_out), kind
+        else:
+            tin, tout = spec.ports
+            assert (want.dom, want.cod) == ((tin,) * n_in, (tout,) * n_out)
+            assert (built.dom, built.cod) == (
+                db.boundary_width(want.dom), db.boundary_width(want.cod))
+        text = dg.to_text(d)
+        assert dg.to_text(dg.parse(text)) == text, kind
+        assert dg.evaluate(dg.parse(text)) == want, kind
 
 
 def _single_node(p, layer, kind, phase, n_in, n_out):
@@ -82,7 +97,7 @@ def _single_node(p, layer, kind, phase, n_in, n_out):
     opts = ""
     if phase != (0, 0):
         opts += " phase=%d,%d" % phase
-    if kind not in dg._FIXED_ARITY[layer]:
+    if dg.NODE_SPECS[layer, kind].arity is None:
         opts += " arity_in=%d arity_out=%d" % (n_in, n_out)
     lines.append("node 0 %s%s" % (kind, opts))
     for k in range(n_in):
@@ -127,6 +142,17 @@ def test_parse_errors():
         dg.parse("p=3; layer=affine\n"
                  "node 0 x_spider phase=1,1 arity_in=1 arity_out=1\n"
                  "wire in0 n0.in0\nwire n0.out0 out0\n")
+    with pytest.raises(DiagramError, match="single phase"):
+        dg.parse("p=3; layer=doubled\n"
+                 "node 0 classical_x_spider phase=1,1 arity_in=1 "
+                 "arity_out=1\nwire in0 n0.in0\nwire n0.out0 out0\n")
+    with pytest.raises(DiagramError, match="measure_z takes no phase"):
+        dg.parse("p=3; layer=doubled\nnode 0 measure_z phase=1\n"
+                 "wire in0 n0.in0\nwire n0.out0 out0\n")
+    # a scalar needs no phase: a = 0 is the collapse to zero
+    zero = dg.parse("p=3; layer=affine\nnode 0 scalar\n"
+                    "wire in0 n0.in0\nwire n0.out0 out0\n")
+    assert dg.evaluate(zero) == ar.scalar(3, 0)
 
 
 def test_p_override():
@@ -185,20 +211,17 @@ def _random_affine_generator(rng, p, n_in=None):
              "cup_z", "cap_z", "cup_x", "cap_x", "swap"]
     while True:
         kind = rng.choice(kinds)
-        fixed = dg._FIXED_ARITY[dg.LAYER_AFFINE].get(kind)
-        if kind in ("z_spider", "x_spider"):
+        spec = dg.NODE_SPECS[dg.LAYER_AFFINE, kind]
+        if spec.arity is None:
             a, b = (n_in if n_in is not None else rng.randrange(3),
                     rng.randrange(3))
             if a + b == 0:
                 continue
-        elif kind == "affine_unit":
-            a, b = 0, 1
         else:
-            a, b = fixed
+            a, b = spec.arity
         if n_in is not None and a != n_in:
             continue
-        phase = (rng.randrange(p), 0) if kind in ("x_spider", "scalar",
-                                                  "co_scalar") else (0, 0)
+        phase = (rng.randrange(p), 0) if spec.phase == "single" else (0, 0)
         d = _single_node(p, dg.LAYER_AFFINE, kind, phase, a, b)
         if kind == "z_spider":
             r = ar.z_spider(p, a, b)
@@ -207,7 +230,7 @@ def _random_affine_generator(rng, p, n_in=None):
         elif kind in ("scalar", "co_scalar"):
             r = getattr(ar, kind)(p, phase[0])
         else:
-            r = ar.generator(p, kind)
+            r = getattr(ar, kind)(p)
         return d, r
 
 

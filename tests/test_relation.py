@@ -18,7 +18,6 @@ from stabrel.relation import (
     cup_z,
     empty,
     equal,
-    generator,
     identity,
     image,
     ortho_complement,
@@ -311,14 +310,6 @@ def test_empty_absorbing():
     assert compose(e, identity(3, 1)).is_empty
     assert compose(identity(3, 1), e).is_empty
     assert tensor(e, total(3, 2, 0)).is_empty
-
-
-def test_generator_dispatch():
-    assert generator(3, "z_spider", n_in=2, n_out=1) == z_spider(3, 2, 1)
-    assert generator(3, "x_spider", n_in=1, n_out=1, a=2) == x_spider(3, 1, 1, 2)
-    assert generator(5, "scalar", a=2) == scalar(5, 2)
-    with pytest.raises(ValueError):
-        generator(3, "y_spider")
 
 
 def test_canonical_form_is_stable():
