@@ -518,13 +518,12 @@ def _evaluate(d: Diagram, boxes, stack):
     blocks = []
     for nd in d.nodes:
         key = (nd.kind, nd.n_in, nd.n_out, nd.phase)
-        if key in memo:
-            rel, rows = memo[key]
-        else:
+        rel = memo.get(key)
+        if rel is None:
             rel = _node_relation(d, nd, boxes, stack)
-            rows = rel.constraint_rows()
             if not nd.kind.startswith("box:"):
-                memo[key] = rel, rows
+                memo[key] = rel
+        rows = rel.constraint_rows()
         if d.layer == LAYER_AFFINE:
             colmap = [wire_cols[port_wire[(nd.ident, "in", k)]][0]
                       for k in range(nd.n_in)]

@@ -4,6 +4,11 @@ Matrices are numpy int64 arrays whose entries are least non-negative
 residues mod p.  Subspaces are row spaces kept in reduced row echelon
 form, so two subspaces are equal as sets exactly when their stored
 bases are equal entry-for-entry.
+
+`rref_mod` clears each pivot column with one in-place numpy update of
+the other rows, right of the pivot; products stay <= (p-1)^2 before
+reduction, so int64 is exact while (p-1)^2 < 2^63.  `rref_kernel`
+reads a kernel off an RREF; `nullspace_mod` is the two in turn.
 """
 
 from __future__ import annotations
@@ -48,27 +53,29 @@ def rref_mod(mat, p: int) -> Tuple[np.ndarray, List[int]]:
     equals that of `mat`.  Elimination is deterministic (leftmost pivot,
     topmost candidate row), so R is a canonical form of the row space.
     """
-    a = mod_p(mat, p)
-    if a.ndim != 2:
-        a = np.atleast_2d(a)
-    a = a.copy()
+    a = np.atleast_2d(mod_p(mat, p))
     nrows, ncols = a.shape
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        rows = np.nonzero(a[r:, c])[0]
+        rows = a[r:, c].nonzero()[0]
         if rows.size == 0:
             continue
         i = r + int(rows[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * inv_mod(a[r, c], p)) % p
-        other = np.nonzero(a[:, c])[0]
-        for j in other:
-            if j != r:
-                a[j] = (a[j] - a[j, c] * a[r]) % p
+        if a[r, c] != 1:
+            a[r, c:] = a[r, c:] * inv_mod(a[r, c], p) % p
+        # rows at and below r are zero left of c, so only columns c: change
+        other = a[:, c].nonzero()[0]
+        if other.size > 1:
+            other = other[other != r]
+            block = a[other, c:]
+            block -= np.outer(block[:, 0], a[r, c:])
+            block %= p
+            a[other, c:] = block
         pivots.append(c)
         r += 1
     return a[:r], pivots
@@ -76,25 +83,25 @@ def rref_mod(mat, p: int) -> Tuple[np.ndarray, List[int]]:
 
 def nullspace_mod(mat, p: int) -> np.ndarray:
     """Basis rows of {v : mat @ v = 0} over F_p (the right kernel)."""
-    a = mod_p(mat, p)
-    if a.ndim != 2:
-        a = np.atleast_2d(a)
-    ncols = a.shape[1]
-    red, pivots = rref_mod(a, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-red[i, c]) % p
+    red, pivots = rref_mod(mat, p)
+    return rref_kernel(red, pivots, red.shape[1], p)
+
+
+def rref_kernel(red, pivots, ncols: int, p: int) -> np.ndarray:
+    """Right kernel of `red`, an RREF with the given pivot columns: per
+    free column f, the row with 1 at f and -red[:, f] at the pivots."""
+    is_free = np.ones(ncols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((free.size, ncols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = -red[:, free].T % p
     return basis
 
 
 def solve_mod(mat, rhs, p: int) -> Optional[np.ndarray]:
     """A particular solution x of mat @ x = rhs over F_p, or None."""
-    a = mod_p(mat, p)
-    if a.ndim != 2:
-        a = np.atleast_2d(a)
+    a = np.atleast_2d(mod_p(mat, p))
     b = mod_p(rhs, p).reshape(-1)
     if b.shape[0] != a.shape[0]:
         raise ValueError("rhs length %d != row count %d" % (b.shape[0], a.shape[0]))
@@ -104,8 +111,7 @@ def solve_mod(mat, rhs, p: int) -> Optional[np.ndarray]:
     if ncols in pivots:
         return None  # a row reduced to 0 = 1: inconsistent
     x = np.zeros(ncols, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = red[i, ncols]
+    x[pivots] = red[:, ncols]
     return x
 
 
@@ -149,21 +155,16 @@ class Subspace:
 
     def contains(self, v) -> bool:
         """Membership test by reduction against the RREF basis."""
-        r = mod_p(v, self.p).reshape(-1)
-        if r.shape[0] != self.ambient_dim:
-            raise ValueError("vector length %d != ambient %d" % (r.shape[0], self.ambient_dim))
-        r = r.copy()
-        for i, c in enumerate(self.pivots):
-            if r[c]:
-                r = (r - r[c] * self.basis[i]) % self.p
-        return not r.any()
+        return not self.reduce(v).any()
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.basis)
 
     def reduce(self, v) -> np.ndarray:
         """Canonical coset representative of v modulo this subspace."""
-        r = mod_p(v, self.p).reshape(-1).copy()
+        r = mod_p(v, self.p).reshape(-1)
+        if r.shape[0] != self.ambient_dim:
+            raise ValueError("vector length %d != ambient %d" % (r.shape[0], self.ambient_dim))
         for i, c in enumerate(self.pivots):
             if r[c]:
                 r = (r - r[c] * self.basis[i]) % self.p
@@ -171,7 +172,8 @@ class Subspace:
 
     def annihilator(self) -> "Subspace":
         """{w : v . w = 0 for all v here} under the plain dot product."""
-        return Subspace(self.p, self.ambient_dim, nullspace_mod(self.basis, self.p))
+        return Subspace(self.p, self.ambient_dim,
+                        rref_kernel(self.basis, self.pivots, self.ambient_dim, self.p))
 
     def __eq__(self, other):
         return (

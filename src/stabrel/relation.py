@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .linalg import Prime, Subspace, mod_p, nullspace_mod
+from .linalg import Prime, Subspace, mod_p, nullspace_mod, rref_kernel
 
 
 class ShiftedRelationError(ValueError):
@@ -26,7 +26,7 @@ class ShiftedRelationError(ValueError):
 
 
 class AffineRelation:
-    __slots__ = ("p", "dom", "cod", "rep")
+    __slots__ = ("p", "dom", "cod", "rep", "_constraints")
 
     def __init__(self, p, dom: int, cod: int, rep: Subspace):
         self.p = p if isinstance(p, Prime) else Prime(p)
@@ -39,6 +39,7 @@ class AffineRelation:
             # no vector with h != 0: the relation holds of no point
             rep = Subspace.zero(self.p, rep.ambient_dim)
         self.rep = rep
+        self._constraints = None
 
     # -- construction -------------------------------------------------
 
@@ -80,10 +81,17 @@ class AffineRelation:
         return self.rep.contains(z)
 
     def constraint_rows(self) -> np.ndarray:
-        """Rows (c | d) such that the relation is {v : c . v + d = 0}."""
-        if self.rep.dim == 0:
-            return np.eye(self.dom + self.cod + 1, dtype=np.int64)
-        return nullspace_mod(self.rep.basis, self.p)
+        """Rows (c | d) such that the relation is {v : c . v + d = 0}.
+
+        Computed once from the stored RREF; every call returns the same
+        read-only array."""
+        if self._constraints is None:
+            rep = self.rep
+            rows = (rref_kernel(rep.basis, rep.pivots, rep.ambient_dim, self.p)
+                    if rep.dim else np.eye(rep.ambient_dim, dtype=np.int64))
+            rows.setflags(write=False)
+            self._constraints = rows
+        return self._constraints
 
     def point(self) -> Optional[np.ndarray]:
         """A particular (x, y) point of the relation, or None when empty."""

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stabrel.linalg import (
     Prime,
@@ -9,6 +10,7 @@ from stabrel.linalg import (
     intersect,
     inv_mod,
     nullspace_mod,
+    rref_kernel,
     rref_mod,
     solve_mod,
     sum_spaces,
@@ -180,3 +182,96 @@ def test_nullspace_zero_columns():
     assert nullspace_mod(np.zeros((2, 0), dtype=np.int64), 3).shape == (0, 0)
     ns = nullspace_mod(np.zeros((0, 3), dtype=np.int64), 3)
     assert ns.shape == (3, 3)
+
+
+# -- property tests against Gauss-Jordan elimination in Python ints --------
+
+# small primes, word-sized primes and the largest prime whose (p-1)^2
+# still fits in int64
+PROPERTY_PRIMES = (2, 3, 5, 65521, 2**31 - 1, 3037000493)
+
+
+def python_rref(rows, ncols, p):
+    """Reference RREF with Python ints: leftmost pivot, topmost row."""
+    a = [[v % p for v in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(a):
+            break
+        i = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [v * inv % p for v in a[r]]
+        for j in range(len(a)):
+            if j != r and a[j][c]:
+                f = a[j][c]
+                a[j] = [(x - f * y) % p for x, y in zip(a[j], a[r])]
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+@st.composite
+def matrices(draw):
+    """(p, ncols, rows): random rows mixed with zero rows, copies and
+    combinations of earlier rows, so ranks fall short of both sides."""
+    p = draw(st.sampled_from(PROPERTY_PRIMES))
+    ncols = draw(st.integers(0, 60))
+    nrows = draw(st.integers(0, 30))
+    kinds = draw(st.lists(st.sampled_from(("random", "zero", "copy", "combo")),
+                          min_size=nrows, max_size=nrows))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in kinds:
+        if kind == "zero":
+            row = [0] * ncols
+        elif kind == "copy" and rows:
+            row = list(rng.choice(rows))
+        elif kind == "combo" and rows:
+            u, v = rng.choice(rows), rng.choice(rows)
+            s, t = rng.randrange(p), rng.randrange(p)
+            row = [(s * x + t * y) % p for x, y in zip(u, v)]
+        else:
+            # unreduced entries, negative ones included
+            row = [rng.randrange(-p, 2 * p) for _ in range(ncols)]
+        rows.append(row)
+    return p, ncols, rows
+
+
+def as_matrix(rows, ncols):
+    return np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_rref_matches_python_int_elimination(case):
+    p, ncols, rows = case
+    red, piv = rref_mod(as_matrix(rows, ncols), p)
+    want, want_piv = python_rref(rows, ncols, p)
+    assert red.shape == (len(want), ncols)
+    assert red.tolist() == want
+    assert piv == want_piv
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_kernel_exact_against_python_ints(case):
+    p, ncols, rows = case
+    want, want_piv = python_rref(rows, ncols, p)
+    k = nullspace_mod(as_matrix(rows, ncols), p)
+    assert k.shape == (ncols - len(want_piv), ncols)
+    assert ((k >= 0) & (k < p)).all()
+    # every row of the matrix is orthogonal to every kernel row, in Python ints
+    kernel = k.tolist()
+    for row in rows:
+        for vec in kernel:
+            assert sum(x * y for x, y in zip(row, vec)) % p == 0
+    # one basis row per free column, the identity there: independent rows
+    free = [c for c in range(ncols) if c not in want_piv]
+    assert k[:, free].tolist() == np.eye(len(free), dtype=np.int64).tolist()
+    # the kernel read off the reference RREF is the same basis
+    red = as_matrix(want, ncols)
+    assert np.array_equal(rref_kernel(red, want_piv, ncols, p), k)

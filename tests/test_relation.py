@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from stabrel.linalg import nullspace_mod
 from stabrel.relation import (
     AffineRelation,
     ShiftedRelationError,
@@ -319,3 +320,41 @@ def test_canonical_form_is_stable():
     assert a == b
     assert np.array_equal(a.rep.basis, b.rep.basis)
     assert hash(a) == hash(b)
+
+
+def test_constraint_rows_cached_and_read_only():
+    rng = random.Random(43)
+    rels = [empty(3, 1, 2), total(5, 2, 1), identity(3, 0), x_spider(3, 1, 2, 1)]
+    rels += [random_relation(rng, p, rng.randrange(3), rng.randrange(3))
+             for p in (2, 3, 5) for _ in range(10)]
+    for r in rels:
+        rows = r.constraint_rows()
+        assert r.constraint_rows() is rows
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[...] = 0
+        if r.is_empty:
+            # no point satisfies h = 0 and x = 0 together with h = 1
+            want = np.eye(r.dom + r.cod + 1, dtype=np.int64)
+        else:
+            want = nullspace_mod(r.rep.basis, r.p)
+        assert np.array_equal(rows, want)
+
+
+def test_warm_and_cold_constraint_caches_agree():
+    def cold(r):
+        # a fresh object over the same stored subspace, its cache unfilled
+        return AffineRelation(r.p, r.dom, r.cod, r.rep)
+
+    rng = random.Random(47)
+    for p in (2, 3):
+        for _ in range(30):
+            n, m, l = (rng.randrange(3) for _ in range(3))
+            r = random_relation(rng, p, n, m)
+            s = random_relation(rng, p, m, l) if rng.randrange(4) else empty(p, m, l)
+            for x in (r, s):
+                x.constraint_rows()
+            assert compose(r, s) == compose(cold(r), cold(s))
+            assert tensor(r, s) == tensor(cold(r), cold(s))
+            assert compose(r, s) == compose(cold(r), s)
+            assert tensor(r, cold(s)) == tensor(cold(r), s)
