@@ -9,6 +9,7 @@ bases are equal entry-for-entry.
 the other rows, right of the pivot; products stay <= (p-1)^2 before
 reduction, so int64 is exact while (p-1)^2 < 2^63.  `rref_kernel`
 reads a kernel off an RREF; `nullspace_mod` is the two in turn.
+`matmul_mod` is the matrix product, exact at every p.
 """
 
 from __future__ import annotations
@@ -18,24 +19,49 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 class Prime(int):
-    """A positive integer verified prime (trial division) at construction."""
+    """A positive integer verified prime at construction: trial division by
+    the first 12 primes, then Miller-Rabin to them as bases, exact for every
+    64-bit input (bases 2 and 3 alone are exact below 1373653)."""
 
     def __new__(cls, p):
         p = int(p)
         if p < 2:
             raise ValueError("p must be a prime >= 2, got %d" % p)
-        d = 2
-        while d * d <= p:
-            if p % d == 0:
-                raise ValueError("p = %d is not prime (divisible by %d)" % (p, d))
-            d += 1
+        for q in _SMALL_PRIMES:
+            if q * q > p:
+                return super().__new__(cls, p)
+            if p % q == 0:
+                raise ValueError("p = %d is not prime (divisible by %d)" % (p, q))
+        s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2^s, d odd
+        for a in _SMALL_PRIMES[:2] if p < 1373653 else _SMALL_PRIMES:
+            x = pow(a, (p - 1) >> s, p)
+            if x == 1:
+                continue
+            for _ in range(s):
+                if x == p - 1:
+                    break
+                x = x * x % p
+            else:
+                raise ValueError("p = %d is not prime (Miller-Rabin witness %d)" % (p, a))
         return super().__new__(cls, p)
 
 
 def mod_p(a, p: int) -> np.ndarray:
     """Reduce an array-like to least non-negative residues mod p."""
     return np.asarray(a, dtype=np.int64) % p
+
+
+def matmul_mod(a, b, p: int) -> np.ndarray:
+    """a @ b mod p for entries in (-p, p), exact at every p: in int64 while
+    (p-1)^2 * inner < 2^63, in Python ints (object dtype) otherwise."""
+    a, b = np.asarray(a), np.asarray(b)
+    if (p - 1) ** 2 * a.shape[-1] < 2 ** 63:
+        return a @ b % p
+    return np.asarray(a.astype(object) @ b.astype(object) % p, dtype=np.int64)
 
 
 def inv_mod(a: int, p: int) -> int:

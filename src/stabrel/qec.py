@@ -2,17 +2,15 @@
 
 A code on n qudits with k logical wires is a coisotropic affine subspace
 S = L + a of F_p^{2n} with dim S = n + k.  The encoder is the Lagrangian
-isometry k -> n whose image is S, built by dilation().  Errors are Weyl
+isometry k -> n whose image is S, read off dilation().  Errors are Weyl
 shifts e = (z | x); the syndrome pairs e against a declared ordered
-basis g_1 .. g_{n-k} of L^omega.  Operationally the syndrome is the
-classical output of the non-destructive measurement circuit
-
-    U ; (measure the first n-k wires, keep the rest) ; U^-1
-
-with U the recorded dilation circuit, followed by the change of basis
-from the dilation's syndrome rows to the declared generators.  Both
-readings agree: the measured outcome on wire j is omega(b_j, -) with
-b_j = U^-1 e_zj.
+basis g_1 .. g_{n-k} of L^omega.  The syndrome measurement is the
+relation of the circuit U ; (measure the first n-k wires, keep the
+rest) ; U^-1 with U the dilation matrix, followed by the change of basis
+to the declared generators; it, the encoder, the code state and the
+readout are each built in closed form from one system of constraints,
+and tests/oracles.py composes the circuits as the reference.  The
+measured outcome on wire j is omega(b_j, -) with b_j = U^-1 e_zj.
 
 Correction tables map syndromes to errors.  verify_correction replays
 the protocol relationally, one branch per error: encode, corrupt,
@@ -42,7 +40,7 @@ import numpy as np
 from . import doubled as db
 from . import relation as ar
 from . import symplectic as sy
-from .linalg import Subspace, mod_p, nullspace_mod, rref_mod, solve_mod
+from .linalg import Subspace, matmul_mod, mod_p, nullspace_mod, rref_mod, solve_mod
 
 
 class StabilizerCode:
@@ -55,7 +53,7 @@ class StabilizerCode:
     """
 
     __slots__ = ("p", "n", "k", "subspace", "dilation", "syndrome_basis",
-                 "basis_change", "_measure")
+                 "basis_change", "_measure", "_state")
 
     def __init__(self, subspace: sy.GradedSubspace, dilation: sy.Dilation,
                  syndrome_basis: np.ndarray, basis_change: np.ndarray):
@@ -67,6 +65,7 @@ class StabilizerCode:
         self.syndrome_basis = syndrome_basis
         self.basis_change = basis_change
         self._measure = None
+        self._state = None
 
     @property
     def d(self) -> int:
@@ -106,77 +105,66 @@ def code_from_subspace(s: sy.GradedSubspace,
         red, _ = rref_mod(basis, p)
         if red.shape[0] != d:
             raise ValueError("generator rows are linearly dependent")
-        change = np.zeros((d, d), dtype=np.int64)
-        for i in range(d):
-            coeffs = solve_mod(dil.syndrome_basis.T, basis[i], p)
-            if coeffs is None:
-                raise ValueError("generator row %d is not a stabilizer of"
-                                 " the subspace" % i)
-            change[i] = coeffs
+        # U b_j = e_zj, so U g_i is row i of C on the first d z
+        # coordinates, and zero elsewhere exactly when g_i is a stabilizer
+        moved = matmul_mod(basis, dil.matrix.T, p)
+        bad = moved[:, d:].any(axis=1).nonzero()[0]
+        if bad.size:
+            raise ValueError("generator row %d is not a stabilizer of"
+                             " the subspace" % bad[0])
+        change = moved[:, :d]
     return StabilizerCode(s, dil, basis, change)
-
-
-def _classical_map(p, mat, shift=None) -> db.GradedRelation:
-    """The graph {(c, mat c + shift)} on classical wires."""
-    mat = mod_p(mat, p)
-    m, k = mat.shape
-    if shift is None:
-        shift = np.zeros(m, dtype=np.int64)
-    coeffs = np.hstack([mat, (-np.eye(m, dtype=np.int64)) % p])
-    rel = ar.AffineRelation.from_constraints(p, k, m, coeffs,
-                                             (-mod_p(shift, p)) % p)
-    return db.lift_classical(rel)
-
-
-def _nondestructive_measure(p) -> db.GradedRelation:
-    """One-wire z-basis measurement that keeps the wire: the x grading is
-    copied to the classical outcome while z decoheres."""
-    rel = ar.AffineRelation.from_constraints(
-        p, 2, 3, [[0, 1, 0, -1, 0], [0, 1, 0, 0, -1]], [0, 0])
-    return db.GradedRelation(p, db.quantum_wires(1),
-                             db.quantum_wires(1) + db.classical_wires(1), rel)
 
 
 def measurement(code: StabilizerCode) -> db.GradedRelation:
     """The non-destructive syndrome measurement, n quantum wires in,
-    n quantum wires and d classical outcomes out."""
+    n quantum wires and d classical outcomes out: with U the dilation
+    matrix, U v' agrees with U v on every x and on the logical z, and
+    c = C (U v)_x[:d] - offset with offset_i = omega(g_i, a)."""
     if code._measure is not None:
         return code._measure
     p, n, d = code.p, code.n, code.d
-    if d == 0:
-        code._measure = db.identity_relation(p, n)
-        return code._measure
-    u_rel = db.symplectomorphism_relation(p, code.dilation.matrix)
-    u_inv = db.symplectomorphism_relation(p, code.dilation.inv_matrix)
-    parts = [_nondestructive_measure(p)] * d
-    if code.k:
-        parts.append(db.identity_relation(p, code.k))
-    blocks = db.retype(db.tensor_all(*parts),
-                       cod=db.quantum_wires(n) + db.classical_wires(d))
-    out = db.compose_all(
-        u_rel, blocks,
-        db.tensor(u_inv, db.identity_graded(p, db.classical_wires(d))))
-    # change to the declared generator basis and subtract the uncorrupted
-    # outcome, so the classical wires carry the syndrome itself
-    offset = np.array([sy.omega(code.subspace.space, g, code.subspace.shift)
-                       for g in code.syndrome_basis], dtype=np.int64)
-    post = _classical_map(p, code.basis_change, (-offset) % p)
-    code._measure = db.compose(
-        out, db.tensor(db.identity_relation(p, n), post))
+    u, a = code.dilation.matrix, code.subspace.shift
+    offset = matmul_mod(code.syndrome_basis, np.concatenate([a[n:], -a[:n]]), p)
+    coeffs = np.zeros((2 * n, 4 * n + d), dtype=np.int64)
+    coeffs[:2 * n - d, :2 * n] = -u[d:]
+    coeffs[:2 * n - d, 2 * n:4 * n] = u[d:]
+    coeffs[2 * n - d:, :2 * n] = -matmul_mod(code.basis_change, u[n:n + d], p)
+    coeffs[2 * n - d:, 4 * n:] = np.eye(d, dtype=np.int64)
+    consts = np.concatenate([np.zeros(2 * n - d, dtype=np.int64), -offset])
+    rel = ar.AffineRelation.from_constraints(p, 2 * n, 2 * n + d, coeffs, consts)
+    code._measure = db.GradedRelation(
+        p, db.quantum_wires(n), db.quantum_wires(n) + db.classical_wires(d), rel)
     return code._measure
 
 
 def code_state(code: StabilizerCode) -> db.GradedRelation:
-    """The code space as a state: the image of the maximally mixed input."""
-    return db.compose(db.total_state(code.p, code.k), code.encoder)
+    """The code space as a state: the image of the maximally mixed input,
+    spanned homogenized by (basis of L | 0) and (a | 1)."""
+    if code._state is None:
+        sub = code.subspace
+        rows = np.zeros((sub.dim + 1, 2 * code.n + 1), dtype=np.int64)
+        rows[:-1, :-1] = sub.linear.basis
+        rows[-1] = np.append(sub.shift, 1)
+        code._state = db.GradedRelation(
+            code.p, (), db.quantum_wires(code.n),
+            ar.AffineRelation.from_rows(code.p, 0, 2 * code.n, rows))
+    return code._state
+
+
+def _readout(p, n: int, d: int) -> db.GradedRelation:
+    """Q^n + C^d -> C^d: the quantum wires are discarded, c_out = c_in."""
+    eye = np.eye(d, dtype=np.int64)
+    coeffs = np.hstack([np.zeros((d, 2 * n), dtype=np.int64), -eye, eye])
+    rel = ar.AffineRelation.from_constraints(p, 2 * n + d, d, coeffs,
+                                             np.zeros(d, dtype=np.int64))
+    return db.GradedRelation(p, db.quantum_wires(n) + db.classical_wires(d),
+                             db.classical_wires(d), rel)
 
 
 def _classical_readout(state: db.GradedRelation, n: int, d: int) -> np.ndarray:
     """Discard n quantum wires of a (Q^n, C^d) state and read the point."""
-    p = state.p
-    parts = [db.discard(p)] * n
-    parts.append(db.identity_graded(p, db.classical_wires(d)))
-    cls = db.compose(state, db.tensor_all(*parts))
+    cls = db.compose(state, _readout(state.p, n, d))
     if cls.rel.is_empty:
         raise ValueError("measurement produced the empty relation")
     if cls.rel.rep.dim != 1:

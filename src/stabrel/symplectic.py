@@ -11,7 +11,7 @@ explicitly: a recorded sequence of elementary symplectomorphisms
 (per-wire Fourier, controlled adds, local phase shears, a wire
 permutation) maps L^omega onto span{e_z1 .. e_zd}, after which the
 encoder is the standard product state followed by the inverse map and
-the shift.
+the shift, written down as one system of constraints.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .linalg import Prime, Subspace, mod_p, nullspace_mod, rref_mod
+from .linalg import Prime, Subspace, matmul_mod, mod_p, nullspace_mod, rref_mod
+from .relation import AffineRelation
 
 
 class SymplecticSpace:
@@ -57,7 +58,7 @@ def omega(space: SymplecticSpace, v, w) -> int:
     w = mod_p(w, p).reshape(-1)
     if v.shape[0] != 2 * n or w.shape[0] != 2 * n:
         raise ValueError("expected vectors of length %d" % (2 * n))
-    return int((int(v[:n] @ w[n:]) - int(v[n:] @ w[:n])) % p)
+    return int((matmul_mod(v[:n], w[n:], p) - matmul_mod(v[n:], w[:n], p)) % p)
 
 
 class GradedSubspace:
@@ -126,7 +127,7 @@ class GradedSubspace:
 def _complement_subspace(space: SymplecticSpace, linear: Subspace) -> Subspace:
     if linear.dim == 0:
         return Subspace.full(space.p, 2 * space.n)
-    rows = (linear.basis @ space.omega_matrix()) % space.p
+    rows = matmul_mod(linear.basis, space.omega_matrix(), space.p)
     return Subspace(space.p, 2 * space.n, nullspace_mod(rows, space.p))
 
 
@@ -255,7 +256,7 @@ def gates_to_matrix(space: SymplecticSpace, gates) -> np.ndarray:
     """Product matrix of a gate list, first gate applied first."""
     m = np.eye(2 * space.n, dtype=np.int64)
     for g in gates:
-        m = (g.matrix(space) @ m) % space.p
+        m = matmul_mod(g.matrix(space), m, space.p)
     return m
 
 
@@ -303,7 +304,7 @@ def dilation(s: GradedSubspace) -> Dilation:
     def apply(gate: Gate) -> None:
         nonlocal vmat
         gates.append(gate)
-        vmat = (gate.matrix(space) @ vmat.T).T % p
+        vmat = matmul_mod(vmat, gate.matrix(space).T, p)
 
     if d:
         # Fourier the wires that make the z-projection full rank: the
@@ -360,7 +361,7 @@ def dilation(s: GradedSubspace) -> Dilation:
     mat = gates_to_matrix(space, gates)
     inv = gates_to_matrix(space, [g.inverse() for g in reversed(gates)])
     syndrome_basis = (inv[:, :d].T % p).copy()
-    encoder = _build_encoder(s, inv, d, m)
+    encoder = _build_encoder(s, mat, d, m)
     return Dilation(s, m, d, gates, mat, inv, syndrome_basis, encoder)
 
 
@@ -369,13 +370,17 @@ def stinespring_dilate(s: GradedSubspace):
     return dilation(s).encoder
 
 
-def _build_encoder(s: GradedSubspace, inv: np.ndarray, d: int, m: int):
+def _build_encoder(s: GradedSubspace, mat: np.ndarray, d: int, m: int):
+    """The isometry u -> v onto s, from U = mat and the shift a: U(v - a)
+    has x = 0 on the first d wires and equals u on the last m."""
     from . import doubled
 
     p, n = s.space.p, s.space.n
-    parts = [doubled.zero_state(p)] * d + [doubled.identity_relation(p, m)]
-    e0 = parts[0]
-    for part in parts[1:]:
-        e0 = doubled.tensor(e0, part)
-    enc = doubled.compose(e0, doubled.symplectomorphism_relation(p, inv))
-    return doubled.compose(enc, doubled.weyl(p, s.shift[:n], s.shift[n:]))
+    ua = matmul_mod(mat, s.shift, p)
+    keep = list(range(n, n + d)) + list(range(d, n)) + list(range(n + d, 2 * n))
+    coeffs = np.zeros((len(keep), 2 * (m + n)), dtype=np.int64)
+    coeffs[:, 2 * m:] = mat[keep]
+    coeffs[d:, :2 * m] = -np.eye(2 * m, dtype=np.int64)
+    rel = AffineRelation.from_constraints(p, 2 * m, 2 * n, coeffs, ua[keep])
+    return doubled.GradedRelation(p, doubled.quantum_wires(m),
+                                  doubled.quantum_wires(n), rel)

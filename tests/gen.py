@@ -99,3 +99,33 @@ def random_circuit(rng, p, steps=5, pure_only=True):
             continue
         r = db.compose(r, nxt)
     return r
+
+
+def random_code(rng, p, n, d, shifted=True):
+    """A random code with d stabilizer generators, dense at any p.
+
+    Random symplectic transvections x -> x + omega(x, v) v, applied in
+    Python ints, carry the standard code (stabilizers e_z1 .. e_zd) to
+    a random one.  Returns the code subspace and declared generators:
+    the moved stabilizers mixed by random row operations.
+    """
+    def form(v, w):
+        return sum(v[i] * w[n + i] - v[n + i] * w[i] for i in range(n)) % p
+
+    def unit(i):
+        return [int(i == j) for j in range(2 * n)]
+
+    linear = [unit(i) for i in range(n)] + [unit(n + j) for j in range(d, n)]
+    gens = [unit(i) for i in range(d)]
+    for _ in range(2 * n):
+        v = [rng.randrange(p) for _ in range(2 * n)]
+        linear, gens = ([[(x + form(row, v) * y) % p for x, y in zip(row, v)]
+                         for row in rows] for rows in (linear, gens))
+    for _ in range(2 * d if d > 1 else 0):
+        i, j = rng.sample(range(d), 2)
+        c = rng.randrange(p)
+        gens[i] = [(x + c * y) % p for x, y in zip(gens[i], gens[j])]
+    shift = [rng.randrange(p) for _ in range(2 * n)] if shifted else None
+    space = sy.SymplecticSpace(p, n)
+    return (sy.GradedSubspace(space, shift, sy.Subspace(p, 2 * n, linear)),
+            np.array(gens, dtype=np.int64).reshape(d, 2 * n))

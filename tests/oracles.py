@@ -1,20 +1,28 @@
 """Brute-force reference semantics for the test suite.
 
-Everything but the last section enumerates points with plain Python
+Everything but the last two sections enumerates points with plain Python
 integer arithmetic.  None of it calls the library's elimination
 routines, so these functions can serve as independent oracles for them.
 
-The last section derives the doubled generators that `stabrel.doubled`
-builds in closed form from a different route: wiring the plain affine
-spiders together with `relation.compose`/`tensor`, one feedback wire
-carrying the linear phase through a scalar, and composing the Fourier
-gate from its three-spider Euler decomposition.
+The last two sections derive what `stabrel.doubled` and `stabrel.qec`
+build in closed form from a different route.  The doubled generators
+come from wiring the plain affine spiders together with
+`relation.compose`/`tensor`, one feedback wire carrying the linear
+phase through a scalar, and from composing the Fourier gate out of its
+three-spider Euler decomposition.  The code-layer relations (encoder,
+syndrome measurement, classical readout) are composed as circuits: the
+dilation's symplectomorphism and its inverse around one-wire product
+states, measurements and discards.
 """
 
 import itertools
 
+import numpy as np
+
 from stabrel import doubled as db
 from stabrel import relation as ar
+from stabrel import symplectic as sy
+from stabrel.linalg import mod_p
 
 
 def vectors(p, n):
@@ -197,3 +205,69 @@ def wired_measure_x(p):
 
 def wired_prep_x(p):
     return db.compose(db.prep_z(p), euler_fourier(p))
+
+
+# ---------------------------------------------------------------------------
+# the code-layer relations, composed as circuits
+
+
+def wired_encoder(dil):
+    """|0>^d beside the identity on m wires, then U^-1, then the shift."""
+    s, inv, d, m = dil.subspace, dil.inv_matrix, dil.d, dil.m
+    p, n = s.space.p, s.space.n
+    parts = [db.zero_state(p)] * d + [db.identity_relation(p, m)]
+    e0 = parts[0]
+    for part in parts[1:]:
+        e0 = db.tensor(e0, part)
+    enc = db.compose(e0, db.symplectomorphism_relation(p, inv))
+    return db.compose(enc, db.weyl(p, s.shift[:n], s.shift[n:]))
+
+
+def _classical_map(p, mat, shift=None):
+    """The graph {(c, mat c + shift)} on classical wires."""
+    mat = mod_p(mat, p)
+    m, k = mat.shape
+    if shift is None:
+        shift = np.zeros(m, dtype=np.int64)
+    coeffs = np.hstack([mat, (-np.eye(m, dtype=np.int64)) % p])
+    rel = ar.AffineRelation.from_constraints(p, k, m, coeffs,
+                                             (-mod_p(shift, p)) % p)
+    return db.lift_classical(rel)
+
+
+def _nondestructive_measure(p):
+    """One-wire z-basis measurement that keeps the wire: the x grading is
+    copied to the classical outcome while z decoheres."""
+    rel = ar.AffineRelation.from_constraints(
+        p, 2, 3, [[0, 1, 0, -1, 0], [0, 1, 0, 0, -1]], [0, 0])
+    return db.GradedRelation(p, db.quantum_wires(1),
+                             db.quantum_wires(1) + db.classical_wires(1), rel)
+
+
+def wired_measurement(code):
+    """U ; (measure the first d wires, keep the rest) ; U^-1, then the
+    change to the declared generators minus the uncorrupted outcome."""
+    p, n, d = code.p, code.n, code.d
+    if d == 0:
+        return db.identity_relation(p, n)
+    u_rel = db.symplectomorphism_relation(p, code.dilation.matrix)
+    u_inv = db.symplectomorphism_relation(p, code.dilation.inv_matrix)
+    parts = [_nondestructive_measure(p)] * d
+    if code.k:
+        parts.append(db.identity_relation(p, code.k))
+    blocks = db.retype(db.tensor_all(*parts),
+                       cod=db.quantum_wires(n) + db.classical_wires(d))
+    out = db.compose_all(
+        u_rel, blocks,
+        db.tensor(u_inv, db.identity_graded(p, db.classical_wires(d))))
+    offset = np.array([sy.omega(code.subspace.space, g, code.subspace.shift)
+                       for g in code.syndrome_basis], dtype=np.int64)
+    post = _classical_map(p, code.basis_change, (-offset) % p)
+    return db.compose(out, db.tensor(db.identity_relation(p, n), post))
+
+
+def wired_readout(p, n, d):
+    """n discards beside the identity on d classical wires."""
+    parts = [db.discard(p)] * n
+    parts.append(db.identity_graded(p, db.classical_wires(d)))
+    return db.tensor_all(*parts)

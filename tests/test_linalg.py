@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from stabrel.linalg import (
     Subspace,
     intersect,
     inv_mod,
+    matmul_mod,
     nullspace_mod,
     rref_kernel,
     rref_mod,
@@ -28,6 +30,48 @@ def test_prime_rejects_composites():
     for bad in (0, 1, 4, 6, 9, 15, 91):
         with pytest.raises(ValueError):
             Prime(bad)
+
+
+def test_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    for n in range(5000):
+        try:
+            accepted = bool(Prime(n))
+        except ValueError:
+            accepted = False
+        assert accepted == trial(n), n
+
+
+@pytest.mark.parametrize("n, prime", [
+    (561, False),                  # Carmichael number 3 * 11 * 17
+    (3215031751, False),           # strong pseudoprime to bases 2, 3, 5, 7
+    (3825123056546413051, False),  # strong pseudoprime to bases 2 .. 23
+    (4294967311, True),
+    (2 ** 61 - 1, True),
+    (9223372036854775783, True),   # the largest prime below 2^63
+    ((2 ** 31 - 1) * (2 ** 31 - 1), False),
+])
+def test_prime_is_fast_and_exact_on_64_bit_inputs(n, prime):
+    start = time.perf_counter()
+    if prime:
+        assert Prime(n) == n
+    else:
+        with pytest.raises(ValueError, match="not prime"):
+            Prime(n)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_matmul_mod_is_exact_past_int64():
+    rng = random.Random(3)
+    for p in (5, 2 ** 31 - 1, 3037000493, 4294967311, 2 ** 61 - 1):
+        a = [[rng.randrange(p) for _ in range(9)] for _ in range(4)]
+        b = [[rng.randrange(p) for _ in range(3)] for _ in range(9)]
+        want = [[sum(a[i][t] * b[t][j] for t in range(9)) % p
+                 for j in range(3)] for i in range(4)]
+        got = matmul_mod(np.array(a, dtype=np.int64),
+                         np.array(b, dtype=np.int64), p)
+        assert got.dtype == np.int64 and got.tolist() == want
 
 
 def test_inv_mod():

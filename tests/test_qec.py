@@ -1,3 +1,4 @@
+import glob
 import itertools
 import os
 import random
@@ -26,8 +27,9 @@ from stabrel.qec import (
     weight,
 )
 
-from gen import random_coisotropic
-from oracles import in_span
+from gen import random_code, random_coisotropic
+from oracles import (in_span, omega_product, wired_encoder, wired_measurement,
+                     wired_readout)
 
 FIX = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -321,6 +323,77 @@ def test_code_file_round_trip_and_errors():
         parse_subspace_file("p=2\nn=1\nshift 1|0\nshift 0|0\n")
     with pytest.raises(ValueError, match="integers"):
         parse_subspace_file("p=2\nn=1\n1|q\n")
+
+
+def repetition_text(p, n):
+    """The n-fold repetition code: stabilizers z1 - z_{i+1}."""
+    rows = []
+    for i in range(1, n):
+        z = [0] * n
+        z[0], z[i] = 1, p - 1
+        rows.append("%s|%s" % (",".join(map(str, z)), ",".join(["0"] * n)))
+    return "p=%d\nn=%d\nk=1\n%s\n" % (p, n, "\n".join(rows))
+
+
+WIDE_PRIMES = (2 ** 31 - 1, 3037000493)
+
+
+def oracle_codes(family):
+    """The codes each closed form is checked on, one list per family."""
+    if family == "fixtures":
+        return [parse_code_path(path)[0]
+                for path in sorted(glob.glob(os.path.join(FIX, "*.code")))]
+    if family == "repetition":
+        return [parse_code_file(repetition_text(p, n))[0]
+                for p in (2, 3, 5) for n in (2, 3, 5)]
+    rng = random.Random(59)
+    if family == "small":
+        shapes = [(p, n, d, shifted) for p in (2, 3, 5, 7)
+                  for n in range(1, 5) for d in range(n + 1)
+                  for shifted in (False, True)]
+    else:
+        shapes = [(p, n, d, shifted) for p in WIDE_PRIMES
+                  for n in (1, 2, 3, 5, 8) for d in (rng.randrange(1, n + 1), n)
+                  for shifted in (False, True)]
+    codes = []
+    for p, n, d, shifted in shapes:
+        sub, gens = random_code(rng, p, n, d, shifted)
+        codes.append(code_from_subspace(sub, generators=gens))
+    return codes
+
+
+FAMILIES = ("fixtures", "repetition", "small", "wide")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_closed_forms_match_circuit_oracles(family):
+    """Encoder, measurement and readout equal their composed circuits,
+    bit for bit."""
+    for code in oracle_codes(family):
+        p, n, d = code.p, code.n, code.d
+        assert code.encoder == wired_encoder(code.dilation), code
+        assert measurement(code) == wired_measurement(code), code
+        assert qec._readout(p, n, d) == wired_readout(p, n, d), code
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_code_state_is_the_encoders_image(family):
+    for code in oracle_codes(family):
+        assert code_state(code) == db.compose(
+            db.total_state(code.p, code.k), code.encoder), code
+
+
+def test_wide_prime_syndromes_match_the_form():
+    """At primes where (p-1)^2 times a short sum leaves int64, the
+    syndrome of a dense error is still omega(g_i, e) in Python ints."""
+    rng = random.Random(61)
+    for code in oracle_codes("wide"):
+        p, n = code.p, code.n
+        gens = [[int(v) for v in g] for g in code.syndrome_basis]
+        for _ in range(2):
+            e = [rng.randrange(p) for _ in range(2 * n)]
+            want = [omega_product(g, e, p, n) for g in gens]
+            assert [int(v) for v in syndrome(code, e)] == want
 
 
 def test_errors_file_and_weight():

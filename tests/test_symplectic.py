@@ -47,6 +47,19 @@ def test_omega_basics():
         assert omega(s, v, w) == omega_product(v, w, p, n)
 
 
+def test_omega_exact_at_wide_primes():
+    """Dense vectors at p = 3037000493: (p-1)^2 fits int64, a sum of two
+    such products does not."""
+    p = 3037000493
+    rng = random.Random(17)
+    for n in (1, 2, 5, 16):
+        sp = SymplecticSpace(p, n)
+        for _ in range(20):
+            v = [rng.randrange(p) for _ in range(2 * n)]
+            w = [rng.randrange(p) for _ in range(2 * n)]
+            assert omega(sp, v, w) == omega_product(v, w, p, n)
+
+
 def test_omega_matrix_block_form():
     sp = SymplecticSpace(3, 2)
     want = np.array([[0, 0, 1, 0], [0, 0, 0, 1],
