@@ -4,8 +4,9 @@ A diagram is a list of nodes (spiders, cups, caps, measurements, ...)
 joined by wires, together with ordered input and output boundary slots.
 Evaluation assigns one variable per wire coordinate, collects every
 node's linear constraints into a single system over F_p, eliminates the
-internal variables exactly, and projects onto the boundary.  Feedback
-loops need no special treatment -- they are just more equations.
+internal variables exactly, and projects onto the boundary, all in one
+`relation.conjoin`.  Feedback loops need no special treatment -- they
+are just more equations.
 
 Two layers share the format:
 
@@ -45,12 +46,9 @@ import re
 from collections import namedtuple
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from . import doubled as db
 from . import relation as ar
-from .linalg import Prime, nullspace_mod
-from .relation import AffineRelation
+from .linalg import Prime
 
 LAYER_AFFINE = "affine"
 LAYER_DOUBLED = "doubled"
@@ -488,34 +486,37 @@ def _node_relation(d: Diagram, nd: Node, boxes, stack):
 def evaluate(d: Diagram, boxes=None):
     """Compile a diagram to its relation by one global elimination.
 
-    Returns an AffineRelation (layer=affine) or GradedRelation
-    (layer=doubled).  `boxes` maps names to sub-diagrams for box nodes.
+    One column per wire coordinate; every node is a part of
+    `relation.conjoin` on its wires' columns, and the boundary wires'
+    columns are kept.  Returns an AffineRelation (layer=affine) or
+    GradedRelation (layer=doubled).  `boxes` maps names to sub-diagrams
+    for box nodes.
     """
     return _evaluate(d, boxes, frozenset())
 
 
 def _evaluate(d: Diagram, boxes, stack):
-    p = d.p
-    # one column per wire coordinate, plus the homogenizing column last
-    wire_cols: List[Tuple[int, ...]] = []
+    doubled = d.layer == LAYER_DOUBLED
+    wire_cols: List[range] = []
     ncols = 0
     for t in d.wire_types:
-        width = 1 if d.layer == LAYER_AFFINE else db.wire_width(t)
-        wire_cols.append(tuple(range(ncols, ncols + width)))
+        width = db.wire_width(t) if doubled else 1
+        wire_cols.append(range(ncols, ncols + width))
         ncols += width
-    hcol = ncols
+    ep_wire = {ep: w for w, pair in enumerate(d.wires) for ep in pair}
 
-    port_wire = {}
-    for w, (a, b) in enumerate(d.wires):
-        for ep in (a, b):
-            if ep[0] == "n":
-                port_wire[(ep[1], ep[2], ep[3])] = w
+    def cols(eps, types):
+        """Columns of the flat coordinates of the wires at `eps`."""
+        wires = [ep_wire[ep] for ep in eps]
+        if not doubled:
+            return [wire_cols[w][0] for w in wires]
+        return db._flat_cols(types, [wire_cols[w] for w in wires])
 
     # generator nodes of one kind, arity and phase share their relation;
     # the memo holds only what those three determine, so a box node is
     # still looked up, checked and evaluated from its sub-diagram
     memo = {}
-    blocks = []
+    parts = []
     for nd in d.nodes:
         key = (nd.kind, nd.n_in, nd.n_out, nd.phase)
         rel = memo.get(key)
@@ -523,70 +524,31 @@ def _evaluate(d: Diagram, boxes, stack):
             rel = _node_relation(d, nd, boxes, stack)
             if not nd.kind.startswith("box:"):
                 memo[key] = rel
-        rows = rel.constraint_rows()
-        if d.layer == LAYER_AFFINE:
-            colmap = [wire_cols[port_wire[(nd.ident, "in", k)]][0]
-                      for k in range(nd.n_in)]
-            colmap += [wire_cols[port_wire[(nd.ident, "out", k)]][0]
-                       for k in range(nd.n_out)]
-        else:
-            tin, tout = _port_types(d.layer, nd, boxes)
+        ins = [("n", nd.ident, "in", k) for k in range(nd.n_in)]
+        outs = [("n", nd.ident, "out", k) for k in range(nd.n_out)]
+        tin, tout = _port_types(d.layer, nd, boxes) or (None, None)
+        if doubled:
             if rel.dom != db.boundary_width(tin) or \
                     rel.cod != db.boundary_width(tout):
                 raise DiagramError(
                     "node %d boundary types do not match its wires"
                     % nd.ident)
-            colmap = [0] * (rel.dom + rel.cod)
-            for side, types, off in (("in", tin, 0), ("out", tout, rel.dom)):
-                slots = db._layout_slots(types)
-                for k, t in enumerate(types):
-                    cols = wire_cols[port_wire[(nd.ident, side, k)]]
-                    if len(cols) != db.wire_width(t):
-                        raise DiagramError(
-                            "port n%d.%s%d expects a %s wire"
-                            % (nd.ident, side, k, t))
-                    for pos, col in zip(slots[k], cols):
-                        colmap[off + pos] = col
-        block = np.zeros((rows.shape[0], ncols + 1), dtype=np.int64)
-        for j, c in enumerate(colmap):
-            block[:, c] = (block[:, c] + rows[:, j]) % p
-        block[:, hcol] = (block[:, hcol] + rows[:, -1]) % p
-        blocks.append(block)
+            for ep, t in zip(ins + outs, tin + tout):
+                if len(wire_cols[ep_wire[ep]]) != db.wire_width(t):
+                    raise DiagramError("port n%d.%s%d expects a %s wire"
+                                       % (nd.ident, ep[2], ep[3], t))
+        parts.append((rel, cols(ins, tin) + cols(outs, tout)))
 
-    if blocks:
-        system = np.vstack(blocks)
-        sol = nullspace_mod(system, p)
-    else:
-        sol = np.eye(ncols + 1, dtype=np.int64)
-
-    # project the solution space onto the boundary columns, in slot order
-    slot_wire = {"in": {}, "out": {}}
-    for w, (a, b) in enumerate(d.wires):
-        for ep in (a, b):
-            if ep[0] == "b":
-                slot_wire[ep[1]][ep[2]] = w
-
-    def boundary_cols(side, count):
-        wires = [slot_wire[side][k] for k in range(count)]
-        if d.layer == LAYER_AFFINE:
-            return [wire_cols[w][0] for w in wires]
-        types = [d.wire_types[w] for w in wires]
-        out = [0] * db.boundary_width(types)
-        slots = db._layout_slots(types)
-        for i, w in enumerate(wires):
-            for pos, col in zip(slots[i], wire_cols[w]):
-                out[pos] = col
-        return out
-
-    sel = boundary_cols("in", d.n_in) + boundary_cols("out", d.n_out) \
-        + [hcol]
-    rep_rows = sol[:, sel]
-    if d.layer == LAYER_AFFINE:
-        return AffineRelation.from_rows(p, d.n_in, d.n_out, rep_rows)
-    dom_t, cod_t = d.dom_types(), d.cod_types()
-    rel = AffineRelation.from_rows(p, db.boundary_width(dom_t),
-                                   db.boundary_width(cod_t), rep_rows)
-    return db.GradedRelation(p, dom_t, cod_t, rel)
+    ins = [("b", "in", k) for k in range(d.n_in)]
+    outs = [("b", "out", k) for k in range(d.n_out)]
+    if not doubled:
+        return ar.conjoin(d.p, ncols, parts, cols(ins, None) + cols(outs, None),
+                          d.n_in, d.n_out)
+    dom_t = tuple(d.wire_types[ep_wire[ep]] for ep in ins)
+    cod_t = tuple(d.wire_types[ep_wire[ep]] for ep in outs)
+    rel = ar.conjoin(d.p, ncols, parts, cols(ins, dom_t) + cols(outs, cod_t),
+                     db.boundary_width(dom_t), db.boundary_width(cod_t))
+    return db.GradedRelation(d.p, dom_t, cod_t, rel)
 
 
 # ---------------------------------------------------------------------------

@@ -144,35 +144,30 @@ def compose_all(*rels: GradedRelation) -> GradedRelation:
     return out
 
 
-def _merge_sources(types_a, types_b) -> List[int]:
-    """Column sources taking concatenated (A then B) coords to the merged layout."""
-    nqa = sum(1 for t in types_a if t == QUANTUM)
-    nca = len(types_a) - nqa
-    nqb = sum(1 for t in types_b if t == QUANTUM)
-    ncb = len(types_b) - nqb
-    wa = 2 * nqa + nca
-    src = list(range(nqa))
-    src += [wa + i for i in range(nqb)]
-    src += list(range(nqa, 2 * nqa))
-    src += [wa + nqb + i for i in range(nqb)]
-    src += list(range(2 * nqa, wa))
-    src += [wa + 2 * nqb + i for i in range(ncb)]
-    return src
+def _flat_cols(types, wire_cols) -> List[int]:
+    """Columns of a boundary's flat coordinates, from each wire's columns
+    (z then x for a quantum wire)."""
+    out = [0] * boundary_width(types)
+    for slots, cols in zip(_layout_slots(types), wire_cols):
+        for pos, col in zip(slots, cols):
+            out[pos] = col
+    return out
 
 
 def tensor(r: GradedRelation, s: GradedRelation) -> GradedRelation:
-    """Side-by-side placement, re-flattened into the merged boundary layout."""
+    """Side-by-side placement, each factor conjoined straight into the
+    merged boundary layout."""
     if r.p != s.p:
         raise ValueError("field mismatch")
-    flat = ar.tensor(r.rel, s.rel)
-    wd = boundary_width(r.dom) + boundary_width(s.dom)
-    src = _merge_sources(r.dom, s.dom)
-    src += [wd + i for i in _merge_sources(r.cod, s.cod)]
-    src.append(flat.rep.ambient_dim - 1)
-    basis = flat.rep.basis[:, src]
-    rel = AffineRelation(r.p, wd, boundary_width(r.cod) + boundary_width(s.cod),
-                         Subspace(r.p, len(src), basis))
-    return GradedRelation(r.p, r.dom + s.dom, r.cod + s.cod, rel)
+    dom, cod = r.dom + s.dom, r.cod + s.cod
+    wd, wc = boundary_width(dom), boundary_width(cod)
+    ins = _layout_slots(dom)
+    outs = [[wd + c for c in slots] for slots in _layout_slots(cod)]
+    nd, nc = len(r.dom), len(r.cod)
+    parts = [(r.rel, _flat_cols(r.dom, ins[:nd]) + _flat_cols(r.cod, outs[:nc])),
+             (s.rel, _flat_cols(s.dom, ins[nd:]) + _flat_cols(s.cod, outs[nc:]))]
+    rel = ar.conjoin(r.p, wd + wc, parts, range(wd + wc), wd, wc)
+    return GradedRelation(r.p, dom, cod, rel)
 
 
 def tensor_all(*rels: GradedRelation) -> GradedRelation:
@@ -193,7 +188,8 @@ def conjugate(r: GradedRelation) -> GradedRelation:
     nq_dom = sum(1 for t in r.dom if t == QUANTUM)
     nq_cod = sum(1 for t in r.cod if t == QUANTUM)
     idx = list(range(nq_dom)) + [wd + i for i in range(nq_cod)]
-    return GradedRelation(r.p, r.dom, r.cod, ar.negate_coords(r.rel, idx))
+    rel = ar.relabel(r.rel, r.rel.dom, r.rel.cod, range(wd + r.rel.cod), idx)
+    return GradedRelation(r.p, r.dom, r.cod, rel)
 
 
 def wire_permutation(p, types, perm) -> GradedRelation:
@@ -203,11 +199,7 @@ def wire_permutation(p, types, perm) -> GradedRelation:
         raise ValueError("not a permutation: %r" % (perm,))
     out_types = tuple(types[j] for j in perm)
     in_slots = _layout_slots(types)
-    out_slots = _layout_slots(out_types)
-    flat = [0] * boundary_width(types)
-    for i, j in enumerate(perm):
-        for a, b in zip(out_slots[i], in_slots[j]):
-            flat[a] = b
+    flat = _flat_cols(out_types, [in_slots[j] for j in perm])
     return GradedRelation(p, types, out_types, ar.permutation_relation(p, flat))
 
 
@@ -244,7 +236,8 @@ def _companion(f: AffineRelation) -> AffineRelation:
     rows[:-1, :-1] = lin
     rows[-1, -1] = 1
     linear_f = AffineRelation.from_rows(f.p, f.dom, f.cod, rows)
-    return ar.negate_coords(ar.ortho_complement(linear_f), range(f.dom))
+    return ar.relabel(ar.ortho_complement(linear_f), f.dom, f.cod,
+                      range(f.dom + f.cod), range(f.dom))
 
 
 def double(f: AffineRelation) -> GradedRelation:
@@ -521,15 +514,10 @@ def bend(r: GradedRelation) -> GradedRelation:
     original inputs with the z coordinates negated.
     """
     n, m = _require_all_quantum(r)
-    basis = r.rel.rep.basis
-    cols = []
-    cols.append((-basis[:, 0:n]) % r.p)             # z of bent inputs
-    cols.append(basis[:, 2 * n:2 * n + m])          # z of outputs
-    cols.append(basis[:, n:2 * n])                  # x of bent inputs
-    cols.append(basis[:, 2 * n + m:2 * n + 2 * m])  # x of outputs
-    cols.append(basis[:, -1:])
-    rel = AffineRelation(r.p, 0, 2 * (n + m),
-                         Subspace(r.p, 2 * (n + m) + 1, np.hstack(cols)))
+    z_in, x_in = range(n), range(n, 2 * n)
+    z_out, x_out = range(2 * n, 2 * n + m), range(2 * n + m, 2 * (n + m))
+    rel = ar.relabel(r.rel, 0, 2 * (n + m), [*z_in, *z_out, *x_in, *x_out],
+                     range(n))
     return GradedRelation(r.p, (), quantum_wires(n + m), rel)
 
 
@@ -537,16 +525,11 @@ def unbend(s: GradedRelation, n: int) -> GradedRelation:
     """Inverse of bend: pull the first n wires of a state back down."""
     _, total_wires = _require_all_quantum(s)
     m = total_wires - n
-    basis = s.rel.rep.basis
     nm = n + m
-    cols = []
-    cols.append((-basis[:, 0:n]) % s.p)             # z of inputs
-    cols.append(basis[:, nm:nm + n])                # x of inputs
-    cols.append(basis[:, n:nm])                     # z of outputs
-    cols.append(basis[:, nm + n:2 * nm])            # x of outputs
-    cols.append(basis[:, -1:])
-    rel = AffineRelation(s.p, 2 * n, 2 * m,
-                         Subspace(s.p, 2 * nm + 1, np.hstack(cols)))
+    z_in, z_out = range(n), range(n, nm)
+    x_in, x_out = range(nm, nm + n), range(nm + n, 2 * nm)
+    rel = ar.relabel(s.rel, 2 * n, 2 * m, [*z_in, *x_in, *z_out, *x_out],
+                     range(n))
     return GradedRelation(s.p, quantum_wires(n), quantum_wires(m), rel)
 
 
@@ -585,17 +568,12 @@ def purify(r: GradedRelation) -> Tuple[GradedRelation, int]:
     dil = symplectic.dilation(gs)
     enc = dil.encoder          # extra -> n + m, bent wires first
     k = dil.m
-    basis = enc.rel.rep.basis
-    nm = n + m
-    cols = []
-    cols.append((-basis[:, 2 * k:2 * k + n]) % r.p)       # z in
-    cols.append(basis[:, 2 * k + nm:2 * k + nm + n])      # x in
-    cols.append(basis[:, 2 * k + n:2 * k + nm])           # z out
-    cols.append((-basis[:, 0:k]) % r.p)                   # z extra
-    cols.append(basis[:, 2 * k + nm + n:2 * k + 2 * nm])  # x out
-    cols.append(basis[:, k:2 * k])                        # x extra
-    cols.append(basis[:, -1:])
-    rel = AffineRelation(r.p, 2 * n, 2 * (m + k),
-                         Subspace(r.p, 2 * (n + m + k) + 1, np.hstack(cols)))
+    # the encoder's coordinates are (z extra, x extra, z bent, z out,
+    # x bent, x out); the bent inputs' z and the extra z are negated
+    nm, e = n + m, 2 * k
+    cols = [*range(e, e + n), *range(e + nm, e + nm + n), *range(e + n, e + nm),
+            *range(k), *range(e + nm + n, e + 2 * nm), *range(k, e)]
+    rel = ar.relabel(enc.rel, 2 * n, 2 * (m + k), cols,
+                     [*range(n), *range(2 * n + m, 2 * n + m + k)])
     pure = GradedRelation(r.p, quantum_wires(n), quantum_wires(m + k), rel)
     return pure, k

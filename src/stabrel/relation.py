@@ -9,7 +9,11 @@ the zero subspace (no vector has h = 1).  Keeping the stored basis in
 RREF makes equality of relations a bitwise comparison.
 
 Coordinates are ordered: input wires left-to-right, then output wires
-left-to-right, then h.
+left-to-right, then h.  That layout is known to this module only: other
+modules build relations from constraints or rows and move coordinates
+with `relabel`.  `conjoin` is the one elimination behind `compose`,
+`tensor` and diagram evaluation: it stacks the parts' constraint rows
+over shared coordinates, solves, and projects the hidden ones away.
 """
 
 from __future__ import annotations
@@ -148,28 +152,52 @@ def total(p, dom: int, cod: int) -> AffineRelation:
     return AffineRelation(p, dom, cod, Subspace.full(p, dom + cod + 1))
 
 
+def conjoin(p, width: int, parts, keep, dom: int, cod: int) -> AffineRelation:
+    """The relation dom -> cod on the `keep` coordinates of the points v of
+    F_p^width with v[cols] in r for every (r, cols) in `parts`.
+
+    One kernel of all parts' constraint rows, placed on their columns
+    (a column a part lists twice adds its coefficients), then the RREF
+    of the kept columns."""
+    parts = [(r.constraint_rows(), list(cols)) for r, cols in parts]
+    sys = np.zeros((sum(c.shape[0] for c, _ in parts), width + 1), dtype=np.int64)
+    top = 0
+    for c, cols in parts:
+        block = sys[top:top + c.shape[0]]
+        if len(set(cols)) == len(cols):
+            block[:, cols] = c[:, :-1]
+        else:
+            for j, col in enumerate(cols):
+                block[:, col] = (block[:, col] + c[:, j]) % p
+        block[:, -1] = c[:, -1]
+        top += c.shape[0]
+    joint = nullspace_mod(sys, p)
+    return AffineRelation(p, dom, cod, Subspace(p, dom + cod + 1,
+                                                joint[:, [*keep, width]]))
+
+
+def relabel(r: AffineRelation, dom: int, cod: int, cols, negate) -> AffineRelation:
+    """The relation dom -> cod whose coordinate i is r's coordinate
+    cols[i], negated for each i in `negate`."""
+    rows = r.rep.basis[:, [*cols, -1]]
+    neg = list(negate)
+    rows[:, neg] = -rows[:, neg] % r.p
+    return AffineRelation(r.p, dom, cod, Subspace(r.p, dom + cod + 1, rows))
+
+
 def compose(r: AffineRelation, s: AffineRelation) -> AffineRelation:
     """Relational composite: r then s.
 
-    {(x, z) : exists y with (x, y) in r and (y, z) in s}.  Formed by
-    stacking both relations' defining equations over the joint
-    coordinates (x, y, z, h), solving exactly, and projecting y away.
+    {(x, z) : exists y with (x, y) in r and (y, z) in s}: both relations
+    conjoined over the joint coordinates (x, y, z), y projected away.
     """
     if r.p != s.p:
         raise ValueError("field mismatch: p=%d vs p=%d" % (r.p, s.p))
     if r.cod != s.dom:
         raise ValueError("arity mismatch: cod %d vs dom %d" % (r.cod, s.dom))
-    p, n, m, l = r.p, r.dom, r.cod, s.cod
-    cr = r.constraint_rows()
-    cs = s.constraint_rows()
-    sys = np.zeros((cr.shape[0] + cs.shape[0], n + m + l + 1), dtype=np.int64)
-    sys[:cr.shape[0], :n + m] = cr[:, :-1]
-    sys[:cr.shape[0], -1] = cr[:, -1]
-    sys[cr.shape[0]:, n:n + m + l] = cs[:, :-1]
-    sys[cr.shape[0]:, -1] = cs[:, -1]
-    joint = nullspace_mod(sys, p)
-    keep = list(range(n)) + list(range(n + m, n + m + l + 1))
-    return AffineRelation(p, n, l, Subspace(p, n + l + 1, joint[:, keep]))
+    n, m, l = r.dom, r.cod, s.cod
+    return conjoin(r.p, n + m + l, [(r, range(n + m)), (s, range(n, n + m + l))],
+                   [*range(n), *range(n + m, n + m + l)], n, l)
 
 
 def compose_all(*rels: AffineRelation) -> AffineRelation:
@@ -183,20 +211,11 @@ def tensor(r: AffineRelation, s: AffineRelation) -> AffineRelation:
     """Direct sum: inputs (x, x'), outputs (y, y')."""
     if r.p != s.p:
         raise ValueError("field mismatch: p=%d vs p=%d" % (r.p, s.p))
-    p = r.p
     n1, m1, n2, m2 = r.dom, r.cod, s.dom, s.cod
-    cr = r.constraint_rows()
-    cs = s.constraint_rows()
-    width = n1 + n2 + m1 + m2 + 1
-    sys = np.zeros((cr.shape[0] + cs.shape[0], width), dtype=np.int64)
-    sys[:cr.shape[0], :n1] = cr[:, :n1]
-    sys[:cr.shape[0], n1 + n2:n1 + n2 + m1] = cr[:, n1:n1 + m1]
-    sys[:cr.shape[0], -1] = cr[:, -1]
-    sys[cr.shape[0]:, n1:n1 + n2] = cs[:, :n2]
-    sys[cr.shape[0]:, n1 + n2 + m1:-1] = cs[:, n2:n2 + m2]
-    sys[cr.shape[0]:, -1] = cs[:, -1]
-    joint = nullspace_mod(sys, p)
-    return AffineRelation(p, n1 + n2, m1 + m2, Subspace(p, width, joint))
+    n, w = n1 + n2, n1 + n2 + m1 + m2
+    return conjoin(r.p, w, [(r, [*range(n1), *range(n, n + m1)]),
+                            (s, [*range(n1, n), *range(n + m1, w)])],
+                   range(w), n, m1 + m2)
 
 
 def tensor_all(*rels: AffineRelation) -> AffineRelation:
@@ -209,16 +228,7 @@ def tensor_all(*rels: AffineRelation) -> AffineRelation:
 def converse(r: AffineRelation) -> AffineRelation:
     """Swap the input and output blocks."""
     n, m = r.dom, r.cod
-    perm = list(range(n, n + m)) + list(range(n)) + [n + m]
-    return AffineRelation(r.p, m, n, Subspace(r.p, n + m + 1, r.rep.basis[:, perm]))
-
-
-def negate_coords(r: AffineRelation, indices) -> AffineRelation:
-    """Negate the listed coordinates (of the dom+cod flattening)."""
-    rows = r.rep.basis.copy()
-    for i in indices:
-        rows[:, i] = (-rows[:, i]) % r.p
-    return AffineRelation(r.p, r.dom, r.cod, Subspace(r.p, r.dom + r.cod + 1, rows))
+    return relabel(r, m, n, [*range(n, n + m), *range(n)], ())
 
 
 def ortho_complement(r: AffineRelation) -> AffineRelation:

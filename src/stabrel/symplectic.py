@@ -141,18 +141,23 @@ def symp_complement(v: GradedSubspace) -> GradedSubspace:
 
 def classify(v: GradedSubspace) -> str:
     """One of isotropic/coisotropic/lagrangian/none by comparing L with L^omega."""
+    return _classify(v)[0]
+
+
+def _classify(v: GradedSubspace) -> Tuple[str, Optional[Subspace]]:
+    """classify(v), and the L^omega it compared with (None when empty)."""
     if v.empty:
-        return "none"
+        return "none", None
     comp = _complement_subspace(v.space, v.linear)
     iso = comp.contains_space(v.linear)
     coiso = v.linear.contains_space(comp)
     if iso and coiso:
-        return "lagrangian"
+        return "lagrangian", comp
     if iso:
-        return "isotropic"
+        return "isotropic", comp
     if coiso:
-        return "coisotropic"
-    return "none"
+        return "coisotropic", comp
+    return "none", comp
 
 
 def symplectomorphism_graph(space: SymplecticSpace, mat) -> GradedSubspace:
@@ -291,7 +296,7 @@ class Dilation:
 
 def dilation(s: GradedSubspace) -> Dilation:
     """Construct the isometry dilating the coisotropic subspace s."""
-    kind = classify(s)
+    kind, comp = _classify(s)
     if kind not in ("coisotropic", "lagrangian"):
         raise ValueError("dilation needs a coisotropic subspace, got %s" % kind)
     space = s.space
@@ -299,7 +304,7 @@ def dilation(s: GradedSubspace) -> Dilation:
     m = s.dim - n
     d = n - m
     gates: List[Gate] = []
-    vmat = _complement_subspace(space, s.linear).basis.copy()
+    vmat = comp.basis.copy()
 
     def apply(gate: Gate) -> None:
         nonlocal vmat

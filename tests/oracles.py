@@ -1,11 +1,13 @@
 """Brute-force reference semantics for the test suite.
 
-Everything but the last two sections enumerates points with plain Python
-integer arithmetic.  None of it calls the library's elimination
+Everything but the last three sections enumerates points with plain
+Python integer arithmetic.  None of it calls the library's elimination
 routines, so these functions can serve as independent oracles for them.
 
-The last two sections derive what `stabrel.doubled` and `stabrel.qec`
-build in closed form from a different route.  The doubled generators
+The last three sections derive what `stabrel.doubled` and `stabrel.qec`
+build in closed form from a different route.  The graded tensor is the
+flat `relation.tensor` with its columns permuted into the merged
+boundary layout.  The doubled generators
 come from wiring the plain affine spiders together with
 `relation.compose`/`tensor`, one feedback wire carrying the linear
 phase through a scalar, and from composing the Fourier gate out of its
@@ -22,7 +24,7 @@ import numpy as np
 from stabrel import doubled as db
 from stabrel import relation as ar
 from stabrel import symplectic as sy
-from stabrel.linalg import mod_p
+from stabrel.linalg import Subspace, mod_p
 
 
 def vectors(p, n):
@@ -143,6 +145,41 @@ def symp_complement_points(pts, p, n):
 def graded_rel_points(g):
     """Decode a GradedRelation to its flattened point set."""
     return rel_points(g.rel)
+
+
+# ---------------------------------------------------------------------------
+# the graded tensor, by permuting the flat one
+
+
+def _merge_sources(types_a, types_b):
+    """Column sources taking concatenated (A then B) coords to the merged layout."""
+    nqa = sum(1 for t in types_a if t == db.QUANTUM)
+    nca = len(types_a) - nqa
+    nqb = sum(1 for t in types_b if t == db.QUANTUM)
+    ncb = len(types_b) - nqb
+    wa = 2 * nqa + nca
+    src = list(range(nqa))
+    src += [wa + i for i in range(nqb)]
+    src += list(range(nqa, 2 * nqa))
+    src += [wa + nqb + i for i in range(nqb)]
+    src += list(range(2 * nqa, wa))
+    src += [wa + 2 * nqb + i for i in range(ncb)]
+    return src
+
+
+def permuted_tensor(r, s):
+    """Side-by-side placement, re-flattened into the merged boundary layout."""
+    if r.p != s.p:
+        raise ValueError("field mismatch")
+    flat = ar.tensor(r.rel, s.rel)
+    wd = db.boundary_width(r.dom) + db.boundary_width(s.dom)
+    src = _merge_sources(r.dom, s.dom)
+    src += [wd + i for i in _merge_sources(r.cod, s.cod)]
+    src.append(flat.rep.ambient_dim - 1)
+    basis = flat.rep.basis[:, src]
+    rel = ar.AffineRelation(r.p, wd, db.boundary_width(r.cod) + db.boundary_width(s.cod),
+                            Subspace(r.p, len(src), basis))
+    return db.GradedRelation(r.p, r.dom + s.dom, r.cod + s.cod, rel)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from stabrel import doubled as db
 from stabrel import relation as ar
 from stabrel.diagram import DiagramError
 
+import oracles
+
 FIX = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 
@@ -499,3 +501,26 @@ def test_repeated_and_self_referencing_boxes():
         dg.evaluate(loop, boxes={"f": loop})
     with pytest.raises(DiagramError, match="recursively"):
         dg.evaluate(twice, boxes={"f": twice})
+
+
+def test_self_loop_adds_both_ports_coefficients():
+    """A wire joining two ports of one node puts both ports' coefficients
+    on one column, where they add."""
+    a = dg.parse("p=5; layer=affine\n"
+                 "node 0 x_spider phase=2 arity_in=1 arity_out=2\n"
+                 "wire n0.out1 n0.in0\nwire n0.out0 out0\n")
+    got = dg.evaluate(a)
+    assert got.rep.basis.tolist() == [[1, 3]]  # out0 = 2
+    # (in0, out0, out1) with out1 = in0, projected on out0
+    spider = oracles.rel_points(ar.x_spider(5, 1, 2, 2))
+    assert oracles.rel_points(got) == {(v[1],) for v in spider if v[2] == v[0]}
+
+    d = dg.parse("p=5; layer=doubled\n"
+                 "node 0 z_spider phase=1,0 arity_in=1 arity_out=2\n"
+                 "wire n0.out1 n0.in0\nwire n0.out0 out0\n")
+    got = dg.evaluate(d)
+    assert got.rel.rep.basis.tolist() == [[1, 0, 1], [0, 1, 0]]
+    # (z_in, x_in, z_out0, z_out1, x_out0, x_out1), out1 = in0
+    spider = oracles.graded_rel_points(db.z_spider(5, 1, 2, (1, 0)))
+    assert oracles.graded_rel_points(got) == {
+        (v[2], v[4]) for v in spider if (v[3], v[5]) == (v[0], v[1])}

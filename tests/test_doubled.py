@@ -310,6 +310,30 @@ def test_tensor_layout_merging():
     assert both.cod == (CLASSICAL, CLASSICAL)
 
 
+def test_tensor_matches_the_permuted_flat_tensor():
+    """db.tensor places each factor straight into the merged layout; the
+    oracle tensors the flat relations and permutes the columns."""
+    rng = random.Random(67)
+    q, c = QUANTUM, CLASSICAL
+
+    def graded(p, dom, cod):
+        rel = random_relation(rng, p, db.boundary_width(dom),
+                              db.boundary_width(cod))
+        return GradedRelation(p, dom, cod, rel)
+
+    for p in (2, 3, 5, 7):
+        shapes = [((q, c), (c, q, q), (c, q, q), (q, c))]
+        for _ in range(30):
+            shapes.append(tuple(tuple(rng.choice((q, c))
+                                      for _ in range(rng.randrange(4)))
+                                for _ in range(4)))
+        for rd, rc, sd, sc in shapes:
+            r, s = graded(p, rd, rc), graded(p, sd, sc)
+            got, want = db.tensor(r, s), oracles.permuted_tensor(r, s)
+            assert got == want
+            assert got.rel.rep.pivots == want.rel.rep.pivots
+
+
 def test_wire_permutation_and_retype():
     p = 3
     types = (QUANTUM, CLASSICAL, QUANTUM)
