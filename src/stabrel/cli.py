@@ -2,7 +2,10 @@
 
 Exit codes: 0 success (or a true verdict), 1 false/mismatch, 2 usage
 error, 3 input error or internal failure.  Boolean queries never
-conflate a false answer with a failure to compute one.
+conflate a false answer with a failure to compute one.  At p = 2 the
+doubled algebra covers CSS codes only, so the code commands (`syndrome`,
+`verify`, `dilate`, `demo repetition3`) refuse any other code with
+exit 3.
 
 Output is deterministic for fixed inputs and flags.  Relations print
 either as canonical homogenized basis rows (`--print basis`) or as
@@ -15,6 +18,7 @@ x block, then classical wires).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import List
@@ -165,8 +169,24 @@ def cmd_classify(args) -> int:
     return 0
 
 
+def _require_css(p, n: int, stabilizers) -> None:
+    """At p = 2 the doubled algebra covers CSS codes only: refuse others."""
+    if p == 2 and not qec.is_css(stabilizers, n, p):
+        raise ValueError("at p = 2 only CSS codes are supported, and this "
+                         "code's stabilizers are not spanned by pure-z and "
+                         "pure-x rows")
+
+
+def _load_code(path: str, p):
+    code, table = qec.parse_code_path(path, p=p)
+    _require_css(code.p, code.n, code.syndrome_basis)
+    return code, table
+
+
 def cmd_dilate(args) -> int:
     sub = qec.parse_subspace_path(args.file, p=args.p)
+    _require_css(sub.space.p, sub.space.n,
+                 sy.symp_complement(sub).linear.basis)
     dil = sy.dilation(sub)
     with open(args.out, "w") as handle:
         handle.write(qec.format_dilation(dil))
@@ -176,7 +196,7 @@ def cmd_dilate(args) -> int:
 
 
 def cmd_syndrome(args) -> int:
-    code, _ = qec.parse_code_path(args.code, p=args.p)
+    code, _ = _load_code(args.code, args.p)
     error = qec.parse_error(args.error, code.n)
     d = qec.syndrome(code, error)
     print(",".join(str(int(v)) for v in d))
@@ -184,7 +204,7 @@ def cmd_syndrome(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    code, _ = qec.parse_code_path(args.code, p=args.p)
+    code, _ = _load_code(args.code, args.p)
     with open(args.table) as handle:
         table = qec.parse_table_file(handle.read(), code.p, code.n, code.d)
     with open(args.errors) as handle:
@@ -214,7 +234,7 @@ def _demo_teleport(args) -> int:
 
 def _demo_repetition3(args) -> int:
     path = os.path.join(args.fixtures_dir, "repetition3.code")
-    code, table = qec.parse_code_path(path, p=args.p)
+    code, table = _load_code(path, args.p)
     if table is None:
         raise ValueError("%s carries no correction table" % path)
     p, n = code.p, code.n
@@ -261,52 +281,52 @@ def _prime(text: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once.  `main` looks each subcommand's handler
+    `cmd_<name>` up in this module at call time, so a replaced handler
+    is the one that runs."""
     parser = argparse.ArgumentParser(
         prog="stabrel",
         description="exact affine-relation engine for qudit stabilizer "
                     "circuits and codes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, help_text):
         cmd = sub.add_parser(name, help=help_text, description=help_text)
-        cmd.set_defaults(func=func)
         cmd.add_argument("--p", type=_prime, default=None,
                          help="override the file's prime")
         return cmd
 
-    cmd = add("eval", cmd_eval, "evaluate a diagram file")
+    cmd = add("eval", "evaluate a diagram file")
     cmd.add_argument("file")
     cmd.add_argument("--print", choices=("equations", "basis"),
                      default="equations", dest="print")
 
-    for name, func in (("equal", cmd_equal), ("subset", cmd_subset)):
-        cmd = add(name, func, "compare two diagram files")
+    for name in ("equal", "subset"):
+        cmd = add(name, "compare two diagram files")
         cmd.add_argument("file1")
         cmd.add_argument("file2")
 
-    cmd = add("classify", cmd_classify,
-              "classify a subspace file under the symplectic form")
+    cmd = add("classify", "classify a subspace file under the symplectic form")
     cmd.add_argument("file")
 
-    cmd = add("dilate", cmd_dilate,
-              "dilate a coisotropic subspace file to an isometry")
+    cmd = add("dilate", "dilate a coisotropic subspace file to an isometry")
     cmd.add_argument("file")
     cmd.add_argument("out")
 
-    cmd = add("syndrome", cmd_syndrome,
-              "syndrome of a z|x error under a code file")
+    cmd = add("syndrome", "syndrome of a z|x error under a code file")
     cmd.add_argument("code")
     cmd.add_argument("error")
 
-    cmd = add("verify", cmd_verify,
+    cmd = add("verify",
               "verify a correction table against an error file; an empty "
               "error list verifies vacuously (VERIFIED: yes)")
     cmd.add_argument("code")
     cmd.add_argument("table")
     cmd.add_argument("errors")
 
-    cmd = add("demo", cmd_demo, "reproduce a built-in worked example")
+    cmd = add("demo", "reproduce a built-in worked example")
     cmd.add_argument("name", choices=("teleport", "repetition3"))
     cmd.add_argument("--fixtures-dir", default="fixtures",
                      dest="fixtures_dir")
@@ -316,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except DiagramError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3

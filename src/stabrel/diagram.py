@@ -3,10 +3,10 @@
 A diagram is a list of nodes (spiders, cups, caps, measurements, ...)
 joined by wires, together with ordered input and output boundary slots.
 Evaluation assigns one variable per wire coordinate, collects every
-node's linear constraints into a single system over F_p, eliminates the
-internal variables exactly, and projects onto the boundary, all in one
-`relation.conjoin`.  Feedback loops need no special treatment -- they
-are just more equations.
+node's linear constraints into a single system over F_p, and eliminates
+the internal variables exactly, interior columns first, leaving the
+boundary's constraints, all in one `relation.conjoin`.  Feedback loops
+need no special treatment -- they are just more equations.
 
 Two layers share the format:
 

@@ -6,10 +6,15 @@ form, so two subspaces are equal as sets exactly when their stored
 bases are equal entry-for-entry.
 
 `rref_mod` clears each pivot column with one in-place numpy update of
-the other rows, right of the pivot; products stay <= (p-1)^2 before
-reduction, so int64 is exact while (p-1)^2 < 2^63.  `rref_kernel`
-reads a kernel off an RREF; `nullspace_mod` is the two in turn.
-`matmul_mod` is the matrix product, exact at every p.
+the other rows, right of the pivot.  `rref_kernel` reads a kernel off
+an RREF; `nullspace_mod` is the two in turn.  `matmul_mod` is the
+matrix product.
+
+Arithmetic is exact at every prime `Prime` accepts.  `_int64_exact`
+says when a sum of products of residues fits in int64; where it does
+not, `rref_mod`, `matmul_mod` and the scalar-times-row updates of the
+relation layer compute in Python ints (numpy object arrays) and return
+int64 residues, so the int64 path is taken wherever it is exact.
 """
 
 from __future__ import annotations
@@ -55,11 +60,23 @@ def mod_p(a, p: int) -> np.ndarray:
     return np.asarray(a, dtype=np.int64) % p
 
 
+def _int64_exact(p: int, terms: int = 1) -> bool:
+    """True when a sum of `terms` products of residues mod p, each at most
+    (p-1)^2 in size, cannot overflow int64."""
+    return (p - 1) ** 2 * terms < 2 ** 63
+
+
+def _widen(a, p: int) -> np.ndarray:
+    """`a` itself where `_int64_exact(p)`, else `a` in Python ints (object
+    dtype), so that a product of two residues is exact."""
+    return a if _int64_exact(p) else np.asarray(a).astype(object)
+
+
 def matmul_mod(a, b, p: int) -> np.ndarray:
     """a @ b mod p for entries in (-p, p), exact at every p: in int64 while
     (p-1)^2 * inner < 2^63, in Python ints (object dtype) otherwise."""
     a, b = np.asarray(a), np.asarray(b)
-    if (p - 1) ** 2 * a.shape[-1] < 2 ** 63:
+    if _int64_exact(p, a.shape[-1]):
         return a @ b % p
     return np.asarray(a.astype(object) @ b.astype(object) % p, dtype=np.int64)
 
@@ -78,8 +95,9 @@ def rref_mod(mat, p: int) -> Tuple[np.ndarray, List[int]]:
     Returns (R, pivot_columns).  R contains no zero rows; its row space
     equals that of `mat`.  Elimination is deterministic (leftmost pivot,
     topmost candidate row), so R is a canonical form of the row space.
+    Where int64 is not exact at p, it runs in Python ints.
     """
-    a = np.atleast_2d(mod_p(mat, p))
+    a = _widen(np.atleast_2d(mod_p(mat, p)), p)
     nrows, ncols = a.shape
     pivots: List[int] = []
     r = 0
@@ -104,7 +122,7 @@ def rref_mod(mat, p: int) -> Tuple[np.ndarray, List[int]]:
             a[other, c:] = block
         pivots.append(c)
         r += 1
-    return a[:r], pivots
+    return a[:r].astype(np.int64, copy=False), pivots
 
 
 def nullspace_mod(mat, p: int) -> np.ndarray:
@@ -191,10 +209,11 @@ class Subspace:
         r = mod_p(v, self.p).reshape(-1)
         if r.shape[0] != self.ambient_dim:
             raise ValueError("vector length %d != ambient %d" % (r.shape[0], self.ambient_dim))
+        basis = _widen(self.basis, self.p)
         for i, c in enumerate(self.pivots):
             if r[c]:
-                r = (r - r[c] * self.basis[i]) % self.p
-        return r
+                r = (r - r[c] * basis[i]) % self.p
+        return r.astype(np.int64, copy=False)
 
     def annihilator(self) -> "Subspace":
         """{w : v . w = 0 for all v here} under the plain dot product."""

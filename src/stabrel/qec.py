@@ -559,6 +559,18 @@ def format_dilation(dil: sy.Dilation) -> str:
     return "\n".join(lines) + "\n"
 
 
+def is_css(stabilizers, n: int, p) -> bool:
+    """True when the span S of the stabilizer rows (z | x) is spanned by
+    pure-z and pure-x rows: dim(S & Z) + dim(S & X) = dim S, which is
+    rank(S_z) + rank(S_x) = rank(S)."""
+    rows = mod_p(stabilizers, p).reshape(-1, 2 * n)
+
+    def rank(m):
+        return rref_mod(m, p)[0].shape[0]
+
+    return rank(rows[:, :n]) + rank(rows[:, n:]) == rank(rows)
+
+
 def weight(error, n: int) -> int:
     """Number of wires an error touches."""
     e = np.asarray(error, dtype=np.int64).reshape(-1)

@@ -13,16 +13,21 @@ left-to-right, then h.  That layout is known to this module only: other
 modules build relations from constraints or rows and move coordinates
 with `relabel`.  `conjoin` is the one elimination behind `compose`,
 `tensor` and diagram evaluation: it stacks the parts' constraint rows
-over shared coordinates, solves, and projects the hidden ones away.
+over shared coordinates, hidden (interior) coordinates first, and
+eliminates them in one RREF, as in relational composition seen as
+variable elimination.  The rows left with a boundary pivot are the
+composite's constraints.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .linalg import Prime, Subspace, mod_p, nullspace_mod, rref_kernel
+from .linalg import (Prime, Subspace, _widen, inv_mod, mod_p, nullspace_mod,
+                     rref_kernel, rref_mod)
 
 
 class ShiftedRelationError(ValueError):
@@ -101,10 +106,10 @@ class AffineRelation:
         """A particular (x, y) point of the relation, or None when empty."""
         if self.is_empty:
             return None
-        from .linalg import inv_mod
         for row in self.rep.basis:
             if row[-1]:
-                return (row[:-1] * inv_mod(row[-1], self.p)) % self.p
+                pt = _widen(row[:-1], self.p) * inv_mod(row[-1], self.p) % self.p
+                return pt.astype(np.int64, copy=False)
         raise AssertionError("non-empty relation without an h != 0 row")
 
     def shift_and_linear(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -112,7 +117,7 @@ class AffineRelation:
         pt = self.point()
         if pt is None:
             return None
-        hom_pt = np.append(pt, 1)
+        hom_pt = _widen(np.append(pt, 1), self.p)
         rows = (self.rep.basis - np.outer(self.rep.basis[:, -1], hom_pt)) % self.p
         lin = Subspace(self.p, self.dom + self.cod, rows[:, :-1])
         return pt, lin.basis
@@ -156,24 +161,35 @@ def conjoin(p, width: int, parts, keep, dom: int, cod: int) -> AffineRelation:
     """The relation dom -> cod on the `keep` coordinates of the points v of
     F_p^width with v[cols] in r for every (r, cols) in `parts`.
 
-    One kernel of all parts' constraint rows, placed on their columns
-    (a column a part lists twice adds its coefficients), then the RREF
-    of the kept columns."""
-    parts = [(r.constraint_rows(), list(cols)) for r, cols in parts]
+    All parts' constraint rows are placed on their columns (a column a
+    part lists twice adds its coefficients), with the hidden columns --
+    those not kept -- first.  One RREF eliminates the hidden variables:
+    a row whose pivot is hidden can be met by some value of them, so the
+    rows with a kept (or h) pivot alone constrain the boundary, and
+    their kernel is the relation.  A column `keep` lists twice is read
+    twice from that kernel."""
+    index = {c: i for i, c in enumerate(dict.fromkeys(keep))}  # kept column -> place
+    hidden = [c for c in range(width) if c not in index]
+    nh, nk = len(hidden), len(index)
+    at = np.empty(width + 1, dtype=np.intp)  # column c of v sits at at[c]
+    at[[*hidden, *index, width]] = np.arange(width + 1)
+    parts = [(r.constraint_rows(), at[list(cols)]) for r, cols in parts]
     sys = np.zeros((sum(c.shape[0] for c, _ in parts), width + 1), dtype=np.int64)
     top = 0
     for c, cols in parts:
         block = sys[top:top + c.shape[0]]
-        if len(set(cols)) == len(cols):
+        if len(set(cols.tolist())) == len(cols):
             block[:, cols] = c[:, :-1]
         else:
             for j, col in enumerate(cols):
                 block[:, col] = (block[:, col] + c[:, j]) % p
         block[:, -1] = c[:, -1]
         top += c.shape[0]
-    joint = nullspace_mod(sys, p)
-    return AffineRelation(p, dom, cod, Subspace(p, dom + cod + 1,
-                                                joint[:, [*keep, width]]))
+    red, pivots = rref_mod(sys, p)
+    first = bisect_left(pivots, nh)
+    joint = rref_kernel(red[first:, nh:], [c - nh for c in pivots[first:]], nk + 1, p)
+    rows = joint[:, [*(index[c] for c in keep), nk]]
+    return AffineRelation(p, dom, cod, Subspace(p, dom + cod + 1, rows))
 
 
 def relabel(r: AffineRelation, dom: int, cod: int, cols, negate) -> AffineRelation:

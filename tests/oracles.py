@@ -1,11 +1,13 @@
 """Brute-force reference semantics for the test suite.
 
-Everything but the last three sections enumerates points with plain
+Everything but the last four sections enumerates points with plain
 Python integer arithmetic.  None of it calls the library's elimination
 routines, so these functions can serve as independent oracles for them.
 
-The last three sections derive what `stabrel.doubled` and `stabrel.qec`
-build in closed form from a different route.  The graded tensor is the
+The last four sections derive what `stabrel.relation`, `stabrel.doubled`
+and `stabrel.qec` build in one elimination or in closed form from a
+different route.  The conjunction of relations is one kernel over every
+column, then the RREF of the kept columns.  The graded tensor is the
 flat `relation.tensor` with its columns permuted into the merged
 boundary layout.  The doubled generators
 come from wiring the plain affine spiders together with
@@ -24,7 +26,7 @@ import numpy as np
 from stabrel import doubled as db
 from stabrel import relation as ar
 from stabrel import symplectic as sy
-from stabrel.linalg import Subspace, mod_p
+from stabrel.linalg import Subspace, mod_p, nullspace_mod
 
 
 def vectors(p, n):
@@ -145,6 +147,34 @@ def symp_complement_points(pts, p, n):
 def graded_rel_points(g):
     """Decode a GradedRelation to its flattened point set."""
     return rel_points(g.rel)
+
+
+# ---------------------------------------------------------------------------
+# the conjunction of relations, kernel first and projection after
+
+
+def kernel_conjoin(p, width, parts, keep, dom, cod):
+    """The relation dom -> cod on the `keep` coordinates of the points v of
+    F_p^width with v[cols] in r for every (r, cols) in `parts`.
+
+    One kernel of all parts' constraint rows, placed on their columns
+    (a column a part lists twice adds its coefficients), then the RREF
+    of the kept columns."""
+    parts = [(r.constraint_rows(), list(cols)) for r, cols in parts]
+    sys = np.zeros((sum(c.shape[0] for c, _ in parts), width + 1), dtype=np.int64)
+    top = 0
+    for c, cols in parts:
+        block = sys[top:top + c.shape[0]]
+        if len(set(cols)) == len(cols):
+            block[:, cols] = c[:, :-1]
+        else:
+            for j, col in enumerate(cols):
+                block[:, col] = (block[:, col] + c[:, j]) % p
+        block[:, -1] = c[:, -1]
+        top += c.shape[0]
+    joint = nullspace_mod(sys, p)
+    return ar.AffineRelation(p, dom, cod, Subspace(p, dom + cod + 1,
+                                                   joint[:, [*keep, width]]))
 
 
 # ---------------------------------------------------------------------------

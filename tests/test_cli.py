@@ -136,6 +136,10 @@ def test_syndrome_command(capsys):
         assert (code, out) == (0, expect + "\n")
     code, _, err = run(capsys, "syndrome", fx("repetition3.code"), "1|0")
     assert code == 3
+    for p in ("4294967311", "2305843009213693951"):
+        code, out, _ = run(capsys, "syndrome", fx("repetition3.code"),
+                           "0,0,0|1,0,0", "--p", p)
+        assert (code, out) == (0, "1,1\n"), p
 
 
 def test_verify_command(capsys, tmp_path):
@@ -165,7 +169,9 @@ def test_verify_command(capsys, tmp_path):
 
 
 def test_demo_teleport(capsys):
-    for extra in ((), ("--p", "2"), ("--p", "5")):
+    # the last two primes are past the int64-exact range
+    for extra in ((), ("--p", "2"), ("--p", "5"), ("--p", "4294967311"),
+                  ("--p", "2305843009213693951")):
         code, out, _ = run(capsys, "demo", "teleport",
                            "--fixtures-dir", FIX, *extra)
         assert (code, out) == (0, "IDENTITY: yes\n")
@@ -228,6 +234,66 @@ def test_internal_failure_is_not_a_no(capsys, monkeypatch):
     code, out, err = run(capsys, "eval", fx("identity.diagram"))
     assert (code, out) == (3, "")
     assert err == "internal error: AssertionError: invariant broken\n"
+
+
+def test_parser_is_built_once_and_dispatches_by_name(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+
+    def fake(args):
+        seen.append((args.code, args.error))
+        print("patched")
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_syndrome", fake)
+    code, out, _ = run(capsys, "syndrome", fx("repetition3.code"), "0,0,0|1,0,0")
+    assert (code, out) == (0, "patched\n")
+    assert seen == [(fx("repetition3.code"), "0,0,0|1,0,0")]
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "syndrome", fx("repetition3.code"), "0,0,0|1,0,0")
+    assert (code, out) == (0, "1,1\n")
+
+
+def test_help_text_is_frozen(capsys, monkeypatch):
+    """`stabrel --help` and every subcommand's `--help`, as frozen in
+    cli_help.txt at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with open(os.path.join(os.path.dirname(__file__), "cli_help.txt")) as handle:
+        blocks = handle.read().split("$ stabrel")[1:]
+    assert len(blocks) == 9
+    for block in blocks:
+        command, want = block.split("\n", 1)
+        argv = command.split()
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr().out == want, command
+
+
+def test_p2_refuses_non_css_codes(capsys, tmp_path):
+    """At p = 2 the CLI answers only for CSS codes; the same file at
+    p = 3 is answered, and the repetition3 fixtures are CSS."""
+    y_code = tmp_path / "y.code"
+    y_code.write_text("p=2\nn=1\nk=0\n1|1\n0 -> 0|0\n1 -> 0|1\n")
+    y_space = tmp_path / "y.subspace"
+    y_space.write_text("p=2\nn=1\n1|1\n")
+    errors = tmp_path / "e.errors"
+    errors.write_text("0|1\n")
+    calls = [("syndrome", str(y_code), "0|1"),
+             ("verify", str(y_code), str(y_code), str(errors)),
+             ("dilate", str(y_space), str(tmp_path / "y.dil"))]
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error: at p = 2 only CSS codes are supported"), argv
+        assert not (tmp_path / "y.dil").exists()
+        code, _, err = run(capsys, *argv, "--p", "3")
+        assert code in (0, 1) and err == "", argv
+    code, out, _ = run(capsys, "syndrome", fx("repetition3.code"), "0,0,0|1,0,0")
+    assert (code, out) == (0, "1,1\n")
+    code, out, _ = run(capsys, "dilate", fx("repetition3.subspace"),
+                       str(tmp_path / "rep.dil"))
+    assert (code, out) == (0, "dilated: n=3 m=1 d=2 gates=2\n")
 
 
 def test_code_file_size_checks(capsys, tmp_path):

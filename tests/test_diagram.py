@@ -281,7 +281,8 @@ def test_tensor_with_blank_diagram():
 
 
 def test_teleport_fixture():
-    for p in (2, 3, 5):
+    # the last two primes are past the int64-exact range
+    for p in (2, 3, 5, 2 ** 31 - 1, 4294967311, 2 ** 61 - 1):
         got = dg.evaluate(fixture("teleport.diagram", p=p))
         assert got == db.identity_relation(p, 1)
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from stabrel.linalg import (
     Prime,
     Subspace,
+    _int64_exact,
     intersect,
     inv_mod,
     matmul_mod,
@@ -230,9 +231,9 @@ def test_nullspace_zero_columns():
 
 # -- property tests against Gauss-Jordan elimination in Python ints --------
 
-# small primes, word-sized primes and the largest prime whose (p-1)^2
-# still fits in int64
-PROPERTY_PRIMES = (2, 3, 5, 65521, 2**31 - 1, 3037000493)
+# small primes, word-sized primes, the largest prime whose (p-1)^2
+# still fits in int64, and two primes past it (Python-int elimination)
+PROPERTY_PRIMES = (2, 3, 5, 65521, 2**31 - 1, 3037000493, 4294967311, 2**61 - 1)
 
 
 def python_rref(rows, ncols, p):
@@ -295,6 +296,7 @@ def test_rref_matches_python_int_elimination(case):
     p, ncols, rows = case
     red, piv = rref_mod(as_matrix(rows, ncols), p)
     want, want_piv = python_rref(rows, ncols, p)
+    assert red.dtype == np.int64
     assert red.shape == (len(want), ncols)
     assert red.tolist() == want
     assert piv == want_piv
@@ -319,3 +321,22 @@ def test_kernel_exact_against_python_ints(case):
     # the kernel read off the reference RREF is the same basis
     red = as_matrix(want, ncols)
     assert np.array_equal(rref_kernel(red, want_piv, ncols, p), k)
+
+
+def test_reduce_is_exact_past_int64():
+    """Reduction against an RREF basis agrees with Python ints at primes
+    whose squares leave int64, and comes back as int64 residues."""
+    rng = random.Random(71)
+    for p in (2**31 - 1, 4294967311, 2**61 - 1):
+        assert _int64_exact(p) == (p == 2**31 - 1)
+        for _ in range(20):
+            n = rng.randrange(1, 7)
+            rows = [[rng.randrange(p) for _ in range(n)]
+                    for _ in range(rng.randrange(n + 1))]
+            space = Subspace(p, n, as_matrix(rows, n))
+            v = [rng.randrange(p) for _ in range(n)]
+            want = list(v)
+            for row, c in zip(space.basis.tolist(), space.pivots):
+                want = [(x - want[c] * y) % p for x, y in zip(want, row)]
+            got = space.reduce(v)
+            assert got.dtype == np.int64 and got.tolist() == want

@@ -335,7 +335,7 @@ def repetition_text(p, n):
     return "p=%d\nn=%d\nk=1\n%s\n" % (p, n, "\n".join(rows))
 
 
-WIDE_PRIMES = (2 ** 31 - 1, 3037000493)
+WIDE_PRIMES = (2 ** 31 - 1, 3037000493, 4294967311, 2 ** 61 - 1)
 
 
 def oracle_codes(family):
@@ -385,9 +385,12 @@ def test_code_state_is_the_encoders_image(family):
 
 def test_wide_prime_syndromes_match_the_form():
     """At primes where (p-1)^2 times a short sum leaves int64, the
-    syndrome of a dense error is still omega(g_i, e) in Python ints."""
+    syndrome of a dense error is still omega(g_i, e) in Python ints, on
+    random codes and on the repetition3 fixture read at each prime."""
     rng = random.Random(61)
-    for code in oracle_codes("wide"):
+    rep3 = [parse_code_path(os.path.join(FIX, "repetition3.code"), p=p)[0]
+            for p in WIDE_PRIMES]
+    for code in oracle_codes("wide") + rep3:
         p, n = code.p, code.n
         gens = [[int(v) for v in g] for g in code.syndrome_basis]
         for _ in range(2):

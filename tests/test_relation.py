@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stabrel.linalg import nullspace_mod
 from stabrel.relation import (
@@ -14,6 +15,7 @@ from stabrel.relation import (
     coimage,
     compose,
     compose_all,
+    conjoin,
     converse,
     cup_x,
     cup_z,
@@ -37,6 +39,7 @@ from oracles import (
     complement_points,
     compose_points,
     converse_points,
+    kernel_conjoin,
     rel_points,
     span,
     tensor_points,
@@ -358,3 +361,93 @@ def test_warm_and_cold_constraint_caches_agree():
             assert tensor(r, s) == tensor(cold(r), cold(s))
             assert compose(r, s) == compose(cold(r), s)
             assert tensor(r, cold(s)) == tensor(cold(r), s)
+
+
+def test_point_and_shift_are_exact_past_int64():
+    """point() and shift_and_linear() scale and subtract rows in Python
+    ints where int64 is not exact; checked against the RREF in Python ints."""
+    rng = random.Random(67)
+
+    def in_span(rel, v):
+        basis, pivots = rel.rep.basis.tolist(), rel.rep.pivots
+        w = [sum(v[c] * b[j] for c, b in zip(pivots, basis)) % rel.p
+             for j in range(len(v))]
+        return w == [x % rel.p for x in v]
+
+    checked = 0
+    for p in (4294967311, 2**61 - 1):
+        for _ in range(20):
+            r = random_relation(rng, p, rng.randrange(3), rng.randrange(1, 3))
+            if r.is_empty:
+                continue
+            pt, lin = r.shift_and_linear()
+            assert pt.dtype == lin.dtype == np.int64
+            assert in_span(r, [*pt.tolist(), 1])
+            for row in lin.tolist():
+                assert in_span(r, [*row, 0])
+            assert lin.shape[0] == r.rep.dim - 1
+            checked += 1
+    assert checked >= 30
+
+
+# -- conjoin against the kernel-then-project oracle ------------------------
+
+
+@st.composite
+def conjoin_systems(draw):
+    """(p, width, parts, keep, dom, cod) for `conjoin`: parts on random
+    columns (repeats allowed, some total or empty), `keep` drawn with
+    repeats, and spare columns that no part touches."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 65521)))
+    used = draw(st.integers(0, 7))
+    width = used + draw(st.integers(0, 3))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    parts = []
+    for kind in draw(st.lists(st.sampled_from(("random", "total", "empty")),
+                              max_size=4)):
+        cols = [rng.randrange(used) for _ in range(rng.randrange(4))] if used else []
+        n = rng.randrange(len(cols) + 1)
+        if kind == "total":
+            r = total(p, n, len(cols) - n)
+        elif kind == "empty":
+            r = empty(p, n, len(cols) - n)
+        else:
+            r = random_relation(rng, p, n, len(cols) - n)
+        parts.append((r, cols))
+    keep = ([rng.randrange(width) for _ in range(rng.randrange(width + 3))]
+            if width else [])
+    dom = rng.randrange(len(keep) + 1)
+    return p, width, parts, keep, dom, len(keep) - dom
+
+
+@settings(max_examples=300, deadline=None)
+@given(conjoin_systems())
+def test_conjoin_matches_kernel_then_project(case):
+    got, want = conjoin(*case), kernel_conjoin(*case)
+    assert (got.dom, got.cod) == (want.dom, want.cod)
+    assert got.rep.basis.dtype == want.rep.basis.dtype == np.int64
+    assert np.array_equal(got.rep.basis, want.rep.basis)
+
+
+def test_conjoin_edge_cases_match_kernel_then_project():
+    p = 5
+    spider = z_spider(p, 1, 2)
+    point = AffineRelation.from_constraints(p, 0, 2, [[1, 0], [0, 1]], [2, 3])
+    cases = {
+        # one part lists column 0 twice: x0 = x0 = x1, i.e. x0 = x1
+        "part repeats a column": (3, [(spider, [0, 0, 1])], [0, 1, 2], 1, 2),
+        # a wire from an input straight to an output keeps column 0 twice
+        "keep repeats a column": (2, [(spider, [0, 1, 1])], [0, 0, 1], 1, 2),
+        # columns 2 and 3 are hidden and constrained by no part
+        "unconstrained hidden": (4, [(spider, [0, 1, 1])], [0], 0, 1),
+        # a total part contributes no constraint rows at all
+        "part without rows": (2, [(total(p, 1, 1), [0, 1])], [1, 0], 1, 1),
+        # (x0, x1) = (2, 3) and (x1, x0) = (2, 3) at once: no point
+        "empty result": (2, [(point, [0, 1]), (point, [1, 0])], [0], 1, 0),
+    }
+    for name, (width, parts, keep, dom, cod) in cases.items():
+        got = conjoin(p, width, parts, keep, dom, cod)
+        want = kernel_conjoin(p, width, parts, keep, dom, cod)
+        assert np.array_equal(got.rep.basis, want.rep.basis), name
+        assert got.is_empty == (name == "empty result"), name
+    assert total(p, 1, 1).constraint_rows().shape[0] == 0
