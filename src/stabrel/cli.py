@@ -185,9 +185,8 @@ def _load_code(path: str, p):
 
 def cmd_dilate(args) -> int:
     sub = qec.parse_subspace_path(args.file, p=args.p)
-    _require_css(sub.space.p, sub.space.n,
-                 sy.symp_complement(sub).linear.basis)
     dil = sy.dilation(sub)
+    _require_css(sub.space.p, sub.space.n, dil.syndrome_basis)
     with open(args.out, "w") as handle:
         handle.write(qec.format_dilation(dil))
     print("dilated: n=%d m=%d d=%d gates=%d"

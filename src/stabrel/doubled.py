@@ -232,12 +232,9 @@ def _companion(f: AffineRelation) -> AffineRelation:
     if f.is_empty:
         return f
     _, lin = f.shift_and_linear()
-    rows = np.zeros((lin.shape[0] + 1, f.dom + f.cod + 1), dtype=np.int64)
-    rows[:-1, :-1] = lin
-    rows[-1, -1] = 1
-    linear_f = AffineRelation.from_rows(f.p, f.dom, f.cod, rows)
-    return ar.relabel(ar.ortho_complement(linear_f), f.dom, f.cod,
-                      range(f.dom + f.cod), range(f.dom))
+    coeffs = np.hstack([-lin[:, :f.dom] % f.p, lin[:, f.dom:]])
+    return AffineRelation.from_constraints(f.p, f.dom, f.cod, coeffs,
+                                           np.zeros(len(coeffs), dtype=np.int64))
 
 
 def double(f: AffineRelation) -> GradedRelation:

@@ -7,10 +7,13 @@ shifts e = (z | x); the syndrome pairs e against a declared ordered
 basis g_1 .. g_{n-k} of L^omega.  The syndrome measurement is the
 relation of the circuit U ; (measure the first n-k wires, keep the
 rest) ; U^-1 with U the dilation matrix, followed by the change of basis
-to the declared generators; it, the encoder, the code state and the
-readout are each built in closed form from one system of constraints,
-and tests/oracles.py composes the circuits as the reference.  The
-measured outcome on wire j is omega(b_j, -) with b_j = U^-1 e_zj.
+to the declared generators.  It and the encoder are each built in
+closed form from one system of constraints, the code state from its
+stabilizer equations omega(g_i, v) = omega(g_i, a), and the syndrome
+is the classical marginal of the measured state; tests/oracles.py
+composes the circuits (for the syndrome, `wired_readout`) as the
+reference.  The measured outcome on wire j is omega(b_j, -) with
+b_j = U^-1 e_zj.
 
 Correction tables map syndromes to errors.  verify_correction replays
 the protocol relationally, one branch per error: encode, corrupt,
@@ -88,9 +91,6 @@ def code_from_subspace(s: sy.GradedSubspace,
     a code file) the syndrome components follow that order; otherwise
     the dilation's own syndrome rows are used.
     """
-    kind = sy.classify(s)
-    if kind not in ("coisotropic", "lagrangian"):
-        raise ValueError("code subspace must be coisotropic, got %s" % kind)
     dil = sy.dilation(s)
     p, n = int(s.space.p), s.space.n
     d = n - (s.dim - n)
@@ -125,7 +125,7 @@ def measurement(code: StabilizerCode) -> db.GradedRelation:
         return code._measure
     p, n, d = code.p, code.n, code.d
     u, a = code.dilation.matrix, code.subspace.shift
-    offset = matmul_mod(code.syndrome_basis, np.concatenate([a[n:], -a[:n]]), p)
+    offset = matmul_mod(sy.omega_dual(p, code.syndrome_basis), a, p)
     coeffs = np.zeros((2 * n, 4 * n + d), dtype=np.int64)
     coeffs[:2 * n - d, :2 * n] = -u[d:]
     coeffs[:2 * n - d, 2 * n:4 * n] = u[d:]
@@ -139,37 +139,28 @@ def measurement(code: StabilizerCode) -> db.GradedRelation:
 
 
 def code_state(code: StabilizerCode) -> db.GradedRelation:
-    """The code space as a state: the image of the maximally mixed input,
-    spanned homogenized by (basis of L | 0) and (a | 1)."""
+    """The code space as a state (the image of the maximally mixed
+    input): its stabilizer equations omega(g_i, v) = omega(g_i, a)."""
     if code._state is None:
-        sub = code.subspace
-        rows = np.zeros((sub.dim + 1, 2 * code.n + 1), dtype=np.int64)
-        rows[:-1, :-1] = sub.linear.basis
-        rows[-1] = np.append(sub.shift, 1)
-        code._state = db.GradedRelation(
-            code.p, (), db.quantum_wires(code.n),
-            ar.AffineRelation.from_rows(code.p, 0, 2 * code.n, rows))
+        p, n = code.p, code.n
+        eqs = sy.omega_dual(p, code.syndrome_basis)
+        rel = ar.AffineRelation.from_constraints(
+            p, 0, 2 * n, eqs, matmul_mod(eqs, code.subspace.shift, p))
+        code._state = db.GradedRelation(p, (), db.quantum_wires(n), rel)
     return code._state
 
 
-def _readout(p, n: int, d: int) -> db.GradedRelation:
-    """Q^n + C^d -> C^d: the quantum wires are discarded, c_out = c_in."""
-    eye = np.eye(d, dtype=np.int64)
-    coeffs = np.hstack([np.zeros((d, 2 * n), dtype=np.int64), -eye, eye])
-    rel = ar.AffineRelation.from_constraints(p, 2 * n + d, d, coeffs,
-                                             np.zeros(d, dtype=np.int64))
-    return db.GradedRelation(p, db.quantum_wires(n) + db.classical_wires(d),
-                             db.classical_wires(d), rel)
-
-
-def _classical_readout(state: db.GradedRelation, n: int, d: int) -> np.ndarray:
-    """Discard n quantum wires of a (Q^n, C^d) state and read the point."""
-    cls = db.compose(state, _readout(state.p, n, d))
-    if cls.rel.is_empty:
+def _classical_readout(state: db.GradedRelation, n: int) -> np.ndarray:
+    """The classical marginal of a measured (Q^n, C^d) state, its
+    coordinates past the 2n quantum ones: deterministic exactly when the
+    linear part is zero there.  Oracle: tests/oracles.py `wired_readout`."""
+    got = state.rel.shift_and_linear()
+    if got is None:
         raise ValueError("measurement produced the empty relation")
-    if cls.rel.rep.dim != 1:
+    pt, lin = got
+    if lin[:, 2 * n:].any():
         raise ValueError("syndrome outcome is not deterministic")
-    return cls.rel.point()
+    return pt[2 * n:]
 
 
 def syndrome(code: StabilizerCode, error) -> np.ndarray:
@@ -185,7 +176,7 @@ def syndrome(code: StabilizerCode, error) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     corrupted = db.compose_all(code_state(code), db.weyl(p, e[:n], e[n:]),
                                measurement(code))
-    return _classical_readout(corrupted, n, d)
+    return _classical_readout(corrupted, n)
 
 
 def undetectable(code: StabilizerCode, error) -> bool:
@@ -241,21 +232,20 @@ class CorrectionTable:
         self.matrix, self.shift = self._fit_affine()
 
     def _fit_affine(self):
-        """Fit entries to e = F s + t; None, None when no fit exists."""
+        """Fit entries to e = F s + t; None, None when no fit exists.
+        One RREF of the rows (s | 1 | e) solves every coordinate at once;
+        it fails exactly when a pivot lands in the e block."""
         if not self.entries:
             return None, None
         keys = sorted(self.entries)
-        lhs = np.array([list(k) + [1] for k in keys], dtype=np.int64)
-        mat = np.zeros((2 * self.n, self.d), dtype=np.int64)
-        shift = np.zeros(2 * self.n, dtype=np.int64)
-        for i in range(2 * self.n):
-            rhs = np.array([self.entries[k][i] for k in keys], dtype=np.int64)
-            sol = solve_mod(lhs, rhs, self.p)
-            if sol is None:
-                return None, None
-            mat[i] = sol[:-1]
-            shift[i] = sol[-1]
-        return mat, shift
+        width = self.d + 1
+        aug = np.array([[*k, 1, *self.entries[k]] for k in keys], dtype=np.int64)
+        red, pivots = rref_mod(aug, self.p)
+        if pivots[-1] >= width:
+            return None, None
+        sol = np.zeros((width, 2 * self.n), dtype=np.int64)
+        sol[pivots] = red[:, width:]
+        return sol[:-1].T.copy(), sol[-1].copy()
 
     @property
     def affine(self) -> bool:
@@ -454,7 +444,7 @@ def parse_code_file(text: str, p=None) -> Tuple[StabilizerCode,
         if red.shape[0] != gens.shape[0]:
             raise ValueError("generator rows are linearly dependent")
         # the subspace stabilized by the rows: omega(g_i, v) = phase_i
-        coeffs = np.hstack([(-gens[:, n:]) % p, gens[:, :n]])
+        coeffs = sy.omega_dual(p, gens)
         linear = Subspace(p, 2 * n, nullspace_mod(coeffs, p))
         shift = solve_mod(coeffs, phases, p)
         if shift is None:

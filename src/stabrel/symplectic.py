@@ -2,16 +2,20 @@
 
 Vectors are rows (z_1 .. z_n, x_1 .. x_n) and the form is
 omega(v, w) = sum_i v_zi w_xi - v_xi w_zi, i.e. the block matrix
-[[0, I], [-I, 0]].  Affine subspaces L + a are graded by this structure;
-classification compares the linear part L with its omega-complement.
+[[0, I], [-I, 0]], and omega_dual(p, g) = (-x | z) makes it a dot
+product: omega(g, v) = omega_dual(g) . v.  Affine subspaces L + a are
+graded by this structure; classification compares the linear part L
+with its omega-complement.
 
 Every coisotropic subspace of dimension n + m is the image of a
 Lagrangian isometry m -> n.  dilation() constructs that isometry
 explicitly: a recorded sequence of elementary symplectomorphisms
 (per-wire Fourier, controlled adds, local phase shears, a wire
-permutation) maps L^omega onto span{e_z1 .. e_zd}, after which the
-encoder is the standard product state followed by the inverse map and
-the shift, written down as one system of constraints.
+permutation) maps L^omega onto span{e_z1 .. e_zd}.  Their product
+U = [[A, B], [C, D]] is accumulated gate by gate and inverted in closed
+form, U^-1 = [[D^T, -B^T], [-C^T, A^T]]; the encoder is the standard
+product state followed by U^-1 and the shift, written down as one
+system of constraints.
 """
 
 from __future__ import annotations
@@ -51,6 +55,13 @@ class SymplecticSpace:
         return "SymplecticSpace(p=%d, n=%d)" % (self.p, self.n)
 
 
+def omega_dual(p, rows) -> np.ndarray:
+    """(-x | z) for rows (z | x), so that omega(g, v) = omega_dual(g) . v."""
+    rows = mod_p(rows, p)
+    n = rows.shape[-1] // 2
+    return np.concatenate([-rows[..., n:] % p, rows[..., :n]], axis=-1)
+
+
 def omega(space: SymplecticSpace, v, w) -> int:
     """The form v omega w^T reduced mod p."""
     p, n = space.p, space.n
@@ -58,7 +69,7 @@ def omega(space: SymplecticSpace, v, w) -> int:
     w = mod_p(w, p).reshape(-1)
     if v.shape[0] != 2 * n or w.shape[0] != 2 * n:
         raise ValueError("expected vectors of length %d" % (2 * n))
-    return int((matmul_mod(v[:n], w[n:], p) - matmul_mod(v[n:], w[:n], p)) % p)
+    return int(matmul_mod(omega_dual(p, v), w, p))
 
 
 class GradedSubspace:
@@ -125,9 +136,7 @@ class GradedSubspace:
 
 
 def _complement_subspace(space: SymplecticSpace, linear: Subspace) -> Subspace:
-    if linear.dim == 0:
-        return Subspace.full(space.p, 2 * space.n)
-    rows = matmul_mod(linear.basis, space.omega_matrix(), space.p)
+    rows = omega_dual(space.p, linear.basis)
     return Subspace(space.p, 2 * space.n, nullspace_mod(rows, space.p))
 
 
@@ -295,28 +304,32 @@ class Dilation:
 
 
 def dilation(s: GradedSubspace) -> Dilation:
-    """Construct the isometry dilating the coisotropic subspace s."""
+    """Construct the isometry dilating the coisotropic subspace s; any
+    other subspace raises ValueError."""
     kind, comp = _classify(s)
     if kind not in ("coisotropic", "lagrangian"):
-        raise ValueError("dilation needs a coisotropic subspace, got %s" % kind)
+        raise ValueError("subspace must be coisotropic, got %s" % kind)
     space = s.space
     p, n = space.p, space.n
     m = s.dim - n
     d = n - m
     gates: List[Gate] = []
-    vmat = comp.basis.copy()
+    u = np.eye(2 * n, dtype=np.int64)
 
     def apply(gate: Gate) -> None:
-        nonlocal vmat
+        nonlocal u
         gates.append(gate)
-        vmat = matmul_mod(vmat, gate.matrix(space).T, p)
+        u = matmul_mod(gate.matrix(space), u, p)
+
+    def moved() -> Tuple[np.ndarray, List[int]]:  # RREF of U L^omega
+        return rref_mod(matmul_mod(comp.basis, u.T, p), p)
 
     if d:
         # Fourier the wires that make the z-projection full rank: the
         # rows with zero z part have x support on wires the z pivots
         # leave free, and pivoting that support picks the wires.
-        zblock = vmat[:, :n]
-        krows = vmat[~zblock.any(axis=1)]
+        zblock = comp.basis[:, :n]
+        krows = comp.basis[~zblock.any(axis=1)]
         _, zpiv = rref_mod(zblock, p)
         free = [w for w in range(n) if w not in set(zpiv)]
         kx = krows[:, [n + w for w in free]]
@@ -325,22 +338,23 @@ def dilation(s: GradedSubspace) -> Dilation:
             raise AssertionError("wire selection failed on isotropic input")
         for i in kpiv:
             apply(Gate("fourier", (free[i],)))
-        vmat, piv = rref_mod(vmat, p)
+        vmat, piv = moved()
         if any(c >= n for c in piv):
             raise AssertionError("pivot escaped the z block")
         order = list(piv) + [w for w in range(n) if w not in set(piv)]
         if order != list(range(n)):
             apply(Gate("permute", order))
-            vmat, piv = rref_mod(vmat, p)
+            vmat, piv = moved()
         if list(piv) != list(range(d)):
             raise AssertionError("pivot placement failed")
-        # clear the z entries right of the identity block
+        # clear the z entries right of the identity block; cadd (i, k)
+        # changes only entry (i, k) there, so vmat needs no update here
         for i in range(d):
             for k in range(d, n):
                 b = int(vmat[i, k])
                 if b:
                     apply(Gate("cadd", (i, k), p - b))
-        vmat, _ = rref_mod(vmat, p)
+        vmat, _ = moved()
         x = vmat[:, n:]
         if not np.array_equal(x[:, :d], x[:, :d].T):
             raise AssertionError("x block not symmetric on isotropic input")
@@ -358,16 +372,15 @@ def dilation(s: GradedSubspace) -> Dilation:
                     apply(Gate("fourier", (k,)))
                     apply(Gate("cadd", (j, k), co))
                     apply(Gate("fourier_inv", (k,)))
-        vmat, _ = rref_mod(vmat, p)
-        want = np.zeros((d, 2 * n), dtype=np.int64)
-        want[:d, :d] = np.eye(d, dtype=np.int64)
-        if not np.array_equal(vmat, want):
+        vmat, _ = moved()
+        if not np.array_equal(vmat, np.eye(d, 2 * n, dtype=np.int64)):
             raise AssertionError("dilation normal form not reached")
-    mat = gates_to_matrix(space, gates)
-    inv = gates_to_matrix(space, [g.inverse() for g in reversed(gates)])
-    syndrome_basis = (inv[:, :d].T % p).copy()
-    encoder = _build_encoder(s, mat, d, m)
-    return Dilation(s, m, d, gates, mat, inv, syndrome_basis, encoder)
+    # U is symplectic, so U^-1 = Omega^-1 U^T Omega in closed form
+    inv = np.block([[u[n:, n:].T, -u[:n, n:].T],
+                    [-u[n:, :n].T, u[:n, :n].T]]) % p
+    syndrome_basis = inv[:, :d].T.copy()
+    encoder = _build_encoder(s, u, d, m)
+    return Dilation(s, m, d, gates, u, inv, syndrome_basis, encoder)
 
 
 def stinespring_dilate(s: GradedSubspace):

@@ -1,10 +1,10 @@
 """Brute-force reference semantics for the test suite.
 
-Everything but the last four sections enumerates points with plain
+Everything but the last five sections enumerates points with plain
 Python integer arithmetic.  None of it calls the library's elimination
 routines, so these functions can serve as independent oracles for them.
 
-The last four sections derive what `stabrel.relation`, `stabrel.doubled`
+The last five sections derive what `stabrel.relation`, `stabrel.doubled`
 and `stabrel.qec` build in one elimination or in closed form from a
 different route.  The conjunction of relations is one kernel over every
 column, then the RREF of the kept columns.  The graded tensor is the
@@ -16,7 +16,8 @@ phase through a scalar, and from composing the Fourier gate out of its
 three-spider Euler decomposition.  The code-layer relations (encoder,
 syndrome measurement, classical readout) are composed as circuits: the
 dilation's symplectomorphism and its inverse around one-wire product
-states, measurements and discards.
+states, measurements and discards.  The affine fit of a correction
+table solves for one error coordinate at a time.
 """
 
 import itertools
@@ -26,7 +27,7 @@ import numpy as np
 from stabrel import doubled as db
 from stabrel import relation as ar
 from stabrel import symplectic as sy
-from stabrel.linalg import Subspace, mod_p, nullspace_mod
+from stabrel.linalg import Subspace, mod_p, nullspace_mod, solve_mod
 
 
 def vectors(p, n):
@@ -338,3 +339,25 @@ def wired_readout(p, n, d):
     parts = [db.discard(p)] * n
     parts.append(db.identity_graded(p, db.classical_wires(d)))
     return db.tensor_all(*parts)
+
+
+# ---------------------------------------------------------------------------
+# the affine fit of a correction table, one coordinate at a time
+
+
+def per_coordinate_fit(table):
+    """Fit entries to e = F s + t; None, None when no fit exists."""
+    if not table.entries:
+        return None, None
+    keys = sorted(table.entries)
+    lhs = np.array([list(k) + [1] for k in keys], dtype=np.int64)
+    mat = np.zeros((2 * table.n, table.d), dtype=np.int64)
+    shift = np.zeros(2 * table.n, dtype=np.int64)
+    for i in range(2 * table.n):
+        rhs = np.array([table.entries[k][i] for k in keys], dtype=np.int64)
+        sol = solve_mod(lhs, rhs, table.p)
+        if sol is None:
+            return None, None
+        mat[i] = sol[:-1]
+        shift[i] = sol[-1]
+    return mat, shift

@@ -28,8 +28,8 @@ from stabrel.qec import (
 )
 
 from gen import random_code, random_coisotropic
-from oracles import (in_span, omega_product, wired_encoder, wired_measurement,
-                     wired_readout)
+from oracles import (in_span, omega_product, per_coordinate_fit, wired_encoder,
+                     wired_measurement, wired_readout)
 
 FIX = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -139,6 +139,16 @@ def test_encoder_and_syndrome_laws_random():
             undetectable(code, e1)  # raises if the two routes split
 
 
+def test_non_coisotropic_subspace_is_refused():
+    """Only dilation() classifies; its one message names "coisotropic"."""
+    sp = sy.SymplecticSpace(3, 2)
+    iso = sy.GradedSubspace.from_rows(sp, [[1, 0, 0, 0]])
+    with pytest.raises(ValueError, match="coisotropic"):
+        code_from_subspace(iso)
+    with pytest.raises(ValueError, match="coisotropic"):
+        sy.dilation(iso)
+
+
 def test_declared_generator_order():
     """An explicit generator list permutes/remixes the syndrome wires."""
     code, _ = rep_code()
@@ -243,6 +253,35 @@ def test_affine_table_detection():
         CorrectionTable(2, 2, 2, {(0,): [0, 0, 0, 0]})
     with pytest.raises(ValueError):
         affine_correction_protocol(rep_code()[0], rep_code()[1])
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 2**31 - 1))
+def test_affine_fit_matches_per_coordinate_solves(p):
+    """One elimination of [S | E] fits a table exactly when the 2n
+    per-coordinate solves do, to the same matrix and shift."""
+    rng = random.Random(p % 997)
+    fitted = unfit = 0
+    for trial in range(80):
+        n, d = rng.randrange(1, 4), rng.randrange(0, 4)
+        f = [[rng.randrange(p) for _ in range(d)] for _ in range(2 * n)]
+        keys = {tuple(rng.randrange(p) for _ in range(d))
+                for _ in range(rng.randrange(1, 3 * d + 3))}
+        entries = {}
+        for key in keys:
+            e = [sum(a * b for a, b in zip(row, key)) % p for row in f]
+            if trial % 2:  # bend one coordinate off the affine map
+                e[rng.randrange(2 * n)] = rng.randrange(p)
+            entries[key] = e if any(key) else [0] * (2 * n)
+        table = CorrectionTable(p, n, d, entries)
+        want = per_coordinate_fit(table)
+        if want[0] is None:
+            assert (table.matrix, table.shift) == (None, None)
+            unfit += 1
+        else:
+            assert table.matrix.tolist() == want[0].tolist()
+            assert table.shift.tolist() == want[1].tolist()
+            fitted += 1
+    assert fitted > 20 and unfit > 5
 
 
 def test_affine_protocol_trivial_code():
@@ -365,15 +404,30 @@ def oracle_codes(family):
 FAMILIES = ("fixtures", "repetition", "small", "wide")
 
 
+def measured_errors(code):
+    """The zero error and two random ones, seeded by the code's shape."""
+    rng = random.Random(code.p * 100 + code.n * 10 + code.d)
+    return [np.zeros(2 * code.n, dtype=np.int64)] + [
+        np.array([rng.randrange(code.p) for _ in range(2 * code.n)],
+                 dtype=np.int64) for _ in range(2)]
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_closed_forms_match_circuit_oracles(family):
-    """Encoder, measurement and readout equal their composed circuits,
-    bit for bit."""
+    """Encoder and measurement equal their composed circuits, bit for
+    bit, and the syndrome read off a measured state is the point of that
+    state with its quantum wires discarded."""
     for code in oracle_codes(family):
         p, n, d = code.p, code.n, code.d
         assert code.encoder == wired_encoder(code.dilation), code
         assert measurement(code) == wired_measurement(code), code
-        assert qec._readout(p, n, d) == wired_readout(p, n, d), code
+        for e in measured_errors(code):
+            state = db.compose_all(code_state(code), db.weyl(p, e[:n], e[n:]),
+                                   measurement(code))
+            read = db.compose(state, wired_readout(p, n, d)).rel
+            assert read.rep.dim == 1, code  # one point: deterministic
+            assert read.point().tolist() == \
+                qec._classical_readout(state, n).tolist(), code
 
 
 @pytest.mark.parametrize("family", FAMILIES)

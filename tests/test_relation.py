@@ -451,3 +451,81 @@ def test_conjoin_edge_cases_match_kernel_then_project():
         assert np.array_equal(got.rep.basis, want.rep.basis), name
         assert got.is_empty == (name == "empty result"), name
     assert total(p, 1, 1).constraint_rows().shape[0] == 0
+
+
+# -- composition laws at every prime -----------------------------------------
+
+LAW_PRIMES = (2, 3, 5, 65521, 2**31 - 1, 4294967311, 2**61 - 1)
+
+
+def same_points(r, s):
+    """r and s hold the same points: each one's particular point and that
+    point moved along each linear direction lies in the other, checked by
+    reduction against the other's RREF in Python ints."""
+    def contains(rel, v):
+        if rel.is_empty:
+            return False
+        w = list(v)
+        for row, c in zip(rel.rep.basis.tolist(), rel.rep.pivots):
+            w = [(x - w[c] * y) % rel.p for x, y in zip(w, row)]
+        return not any(w)
+
+    def points(rel):
+        pt, lin = rel.shift_and_linear()
+        pt = pt.tolist()
+        return [pt] + [[(a + b) % rel.p for a, b in zip(pt, row)]
+                       for row in lin.tolist()]
+
+    if r.is_empty or s.is_empty:
+        return r.is_empty and s.is_empty
+    return (all(contains(s, [*v, 1]) for v in points(r))
+            and all(contains(r, [*v, 1]) for v in points(s)))
+
+
+@st.composite
+def law_cases(draw):
+    """(p, rng, dims): a prime, a seeded generator and six wire counts."""
+    p = draw(st.sampled_from(LAW_PRIMES))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    dims = draw(st.lists(st.integers(0, 3), min_size=6, max_size=6))
+    return p, rng, dims
+
+
+@settings(max_examples=120, deadline=None)
+@given(law_cases())
+def test_compose_is_associative(case):
+    p, rng, (a, b, c, d, _, _) = case
+    r, s, t = (random_relation(rng, p, *ab) for ab in ((a, b), (b, c), (c, d)))
+    lhs, rhs = compose(compose(r, s), t), compose(r, compose(s, t))
+    assert lhs == rhs
+    assert same_points(lhs, rhs)
+
+
+@settings(max_examples=120, deadline=None)
+@given(law_cases())
+def test_tensor_is_functorial(case):
+    p, rng, (a, b, c, d, e, f) = case
+    r0, r1 = random_relation(rng, p, a, b), random_relation(rng, p, b, c)
+    s0, s1 = random_relation(rng, p, d, e), random_relation(rng, p, e, f)
+    lhs = compose(tensor(r0, s0), tensor(r1, s1))
+    rhs = tensor(compose(r0, r1), compose(s0, s1))
+    assert lhs == rhs
+    assert same_points(lhs, rhs)
+
+
+@settings(max_examples=120, deadline=None)
+@given(law_cases())
+def test_ortho_complement_is_an_involution(case):
+    p, rng, (a, b, k, _, _, _) = case
+    rows = [[rng.randrange(p) for _ in range(a + b)] + [0] for _ in range(k)]
+    r = AffineRelation.from_rows(p, a, b, rows + [[0] * (a + b) + [1]])
+    comp = ortho_complement(r)
+    assert ortho_complement(comp) == r
+    assert same_points(ortho_complement(comp), r)
+    # the complement's directions annihilate r's, and the dimensions add up
+    _, lin = r.shift_and_linear()
+    _, perp = comp.shift_and_linear()
+    for u in lin.tolist():
+        for v in perp.tolist():
+            assert sum(x * y for x, y in zip(u, v)) % p == 0
+    assert lin.shape[0] + perp.shape[0] == a + b

@@ -1,9 +1,11 @@
+import os
 import random
 
 import numpy as np
 import pytest
 
 from stabrel import doubled as db
+from stabrel import qec
 from stabrel.linalg import Subspace
 from stabrel.symplectic import (
     Dilation,
@@ -14,12 +16,13 @@ from stabrel.symplectic import (
     dilation,
     gates_to_matrix,
     omega,
+    omega_dual,
     stinespring_dilate,
     symp_complement,
     symplectomorphism_graph,
 )
 
-from gen import random_coisotropic, random_isotropic
+from gen import random_code, random_coisotropic, random_isotropic
 from oracles import all_subspaces, omega_product, symp_complement_points, vectors
 
 
@@ -45,6 +48,20 @@ def test_omega_basics():
         assert omega(s, v, v) == 0
         assert (omega(s, v, w) + omega(s, w, v)) % p == 0
         assert omega(s, v, w) == omega_product(v, w, p, n)
+
+
+def test_omega_dual_pairs_by_the_dot_product():
+    """omega_dual(g) . v = omega(g, v), in Python ints at every prime."""
+    rng = random.Random(19)
+    for p in (2, 5, 2**31 - 1, 4294967311, 2**61 - 1):
+        n = rng.randrange(1, 6)
+        rows = [[rng.randrange(p) for _ in range(2 * n)] for _ in range(3)]
+        v = [rng.randrange(p) for _ in range(2 * n)]
+        dual = omega_dual(p, np.array(rows, dtype=np.int64))
+        assert dual.dtype == np.int64 and dual.shape == (3, 2 * n)
+        for g, w in zip(rows, dual.tolist()):
+            assert sum(a * b for a, b in zip(w, v)) % p == \
+                omega_product(g, v, p, n)
 
 
 def test_omega_exact_at_wide_primes():
@@ -290,3 +307,56 @@ def test_dilation_gate_route_matches_matrix():
         assert chain == db.symplectomorphism_relation(p, dil.matrix)
         om = SymplecticSpace(p, n).omega_matrix()
         assert np.array_equal((dil.matrix.T @ om @ dil.matrix) % p, om % p)
+
+
+DILATION_PRIMES = (2, 3, 5, 7, 2**31 - 1, 4294967311, 2**61 - 1)
+
+
+@pytest.mark.parametrize("p", DILATION_PRIMES)
+def test_dilation_matrices_are_the_gate_products(p):
+    """U is the product of the recorded gates, U^-1 the product of their
+    inverses in reverse order, and U U^-1 = I, for every d at n <= 8."""
+    rng = random.Random(p % 1009)
+    for n in range(1, 9):
+        for d in range(n + 1):
+            sub, _ = random_code(rng, p, n, d)
+            dil = dilation(sub)
+            sp = sub.space
+            eye = np.eye(2 * n, dtype=np.int64)
+            assert np.array_equal(dil.matrix, gates_to_matrix(sp, dil.gates))
+            undo = [g.inverse() for g in reversed(dil.gates)]
+            assert np.array_equal(dil.inv_matrix, gates_to_matrix(sp, undo))
+            u, inv = dil.matrix.tolist(), dil.inv_matrix.tolist()
+            prod = [[sum(a * b for a, b in zip(row, col)) % p
+                     for col in zip(*inv)] for row in u]
+            assert prod == eye.tolist()
+
+
+def frozen_dilations():
+    """Name -> format_dilation text, as frozen in frozen_dilations.txt."""
+    path = os.path.join(os.path.dirname(__file__), "frozen_dilations.txt")
+    blocks = {}
+    with open(path) as handle:
+        for line in handle:
+            if line.startswith("== "):
+                name = line[3:].strip()
+                blocks[name] = ""
+            else:
+                blocks[name] += line
+    return blocks
+
+
+def test_format_dilation_is_frozen():
+    """The gate list, matrix and syndrome rows of a few dilations, as the
+    text format_dilation writes, cannot drift."""
+    fix = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+    frozen = frozen_dilations()
+    assert len(frozen) == 7
+    for name, text in frozen.items():
+        if name == "repetition3.subspace":
+            sub = qec.parse_subspace_path(os.path.join(fix, name))
+        else:
+            args = dict(kv.split("=") for kv in name.split()[1:])
+            seed, p, n, d = (int(args[k]) for k in ("seed", "p", "n", "d"))
+            sub, _ = random_code(random.Random(seed), p, n, d)
+        assert qec.format_dilation(dilation(sub)) == text, name
