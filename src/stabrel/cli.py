@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 from typing import List
@@ -250,13 +251,12 @@ def _demo_repetition3(args) -> int:
         print("(%s)->(%s)" % (",".join(str(v) for v in shift),
                               ",".join(str(v) for v in d)))
         ok = ok and expected.get(tuple(int(v) for v in e)) == d
-    model = [np.zeros(2 * n, dtype=np.int64)]
-    for wire in range(n):
-        for value in range(1, p):
-            e = np.zeros(2 * n, dtype=np.int64)
-            e[n + wire] = value
-            model.append(e)
-    corrects = all(r.ok for r in qec.verify_correction(code, table, model))
+    # lazily, one error at a time: the verdict stops at the first failing branch
+    unit_x = np.eye(2 * n, dtype=np.int64)[n:]
+    model = itertools.chain(
+        [np.zeros(2 * n, dtype=np.int64)],
+        (value * unit_x[wire] for wire in range(n) for value in range(1, p)))
+    corrects = all(qec.verify_correction(code, table, [e])[0].ok for e in model)
     print("CORRECTS weight<=1 X: %s" % ("yes" if corrects else "no"))
     ok = ok and corrects
     return 0 if ok else 1

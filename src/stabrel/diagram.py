@@ -616,51 +616,42 @@ def compose_diagrams(d1: Diagram, d2: Diagram) -> Diagram:
     offset = max((nd.ident for nd in d1.nodes), default=-1) + 1
     nodes2, wires2 = _renumber(d2, offset)
 
-    # junction k joins d1's out<k> with d2's in<k>; resolve chains by
-    # repeatedly splicing the two wires that meet at a junction
-    pending = []
-    types = []
-    for w, (a, b) in enumerate(d1.wires):
-        a2 = ("j", a[2]) if a[:2] == ("b", "out") else a
-        b2 = ("j", b[2]) if b[:2] == ("b", "out") else b
-        pending.append((a2, b2))
-        types.append(d1.wire_types[w])
-    for w, (a, b) in enumerate(wires2):
-        a2 = ("j", a[2]) if a[:2] == ("b", "in") else a
-        b2 = ("j", b[2]) if b[:2] == ("b", "in") else b
-        pending.append((a2, b2))
-        types.append(d2.wire_types[w])
+    # junction k joins d1's out<k> with d2's in<k>; the wires chained
+    # through junctions are one class of a union-find, which becomes the
+    # wire between its two outer ends, or is dropped as a closed loop
+    ends, types = [], []
+    for wires, wire_types, side in ((d1.wires, d1.wire_types, "out"),
+                                    (wires2, d2.wire_types, "in")):
+        for (a, b), t in zip(wires, wire_types):
+            ends.append([("j", ep[2]) if ep[:2] == ("b", side) else ep
+                         for ep in (a, b)])
+            types.append(t)
+    parent = list(range(len(ends)))
 
-    changed = True
-    while changed:
-        changed = False
-        for i, (a, b) in enumerate(pending):
-            j = a if a[0] == "j" else (b if b[0] == "j" else None)
-            if j is None:
+    def find(w):
+        while parent[w] != w:
+            parent[w] = parent[parent[w]]
+            w = parent[w]
+        return w
+
+    met = {}
+    for w, pair in enumerate(ends):
+        for ep in pair:
+            if ep[0] != "j":
                 continue
-            if a[0] == "j" and b[0] == "j" and a == b:
-                # closed loop: no surviving endpoints, no constraint
-                del pending[i], types[i]
-                changed = True
-                break
-            for i2, (c, e) in enumerate(pending):
-                if i2 == i or j not in (c, e):
-                    continue
-                other1 = b if a == j else a
-                other2 = e if c == j else c
-                pending[i] = (other1, other2)
-                if d1.layer == LAYER_DOUBLED and types[i] != types[i2]:
-                    raise DiagramError("glued wires disagree on type")
-                del pending[i2], types[i2]
-                changed = True
-                break
-            if changed:
-                break
-    for a, b in pending:
-        if a[0] == "j" or b[0] == "j":
-            raise AssertionError("unresolved junction after gluing")
-
-    return Diagram(d1.p, d1.layer, list(d1.nodes) + nodes2, pending, types,
+            if ep not in met:
+                met[ep] = w
+                continue
+            if d1.layer == LAYER_DOUBLED and types[met[ep]] != types[w]:
+                raise DiagramError("glued wires disagree on type")
+            parent[find(w)] = find(met[ep])
+    chains: Dict[int, tuple] = {}
+    for w, pair in enumerate(ends):
+        outer, _ = chains.setdefault(find(w), ([], types[w]))
+        outer.extend(ep for ep in pair if ep[0] != "j")
+    kept = [(tuple(outer), t) for outer, t in chains.values() if outer]
+    return Diagram(d1.p, d1.layer, list(d1.nodes) + nodes2,
+                   [wire for wire, _ in kept], [t for _, t in kept],
                    d1.n_in, d2.n_out)
 
 

@@ -132,16 +132,16 @@ def identity_relation(p, n: int) -> GradedRelation:
 
 
 def compose(r: GradedRelation, s: GradedRelation) -> GradedRelation:
-    if r.cod != s.dom:
-        raise ValueError("boundary mismatch: %r vs %r" % (r.cod, s.dom))
-    return GradedRelation(r.p, r.dom, s.cod, ar.compose(r.rel, s.rel))
+    return compose_all(r, s)
 
 
 def compose_all(*rels: GradedRelation) -> GradedRelation:
-    out = rels[0]
-    for r in rels[1:]:
-        out = compose(out, r)
-    return out
+    """The chain r_1 ; ... ; r_k, as one elimination of its flat relations."""
+    for r, s in zip(rels, rels[1:]):
+        if r.cod != s.dom:
+            raise ValueError("boundary mismatch: %r vs %r" % (r.cod, s.dom))
+    return GradedRelation(rels[0].p, rels[0].dom, rels[-1].cod,
+                          ar.compose_all(*(r.rel for r in rels)))
 
 
 def _flat_cols(types, wire_cols) -> List[int]:
@@ -155,26 +155,28 @@ def _flat_cols(types, wire_cols) -> List[int]:
 
 
 def tensor(r: GradedRelation, s: GradedRelation) -> GradedRelation:
-    """Side-by-side placement, each factor conjoined straight into the
-    merged boundary layout."""
-    if r.p != s.p:
-        raise ValueError("field mismatch")
-    dom, cod = r.dom + s.dom, r.cod + s.cod
-    wd, wc = boundary_width(dom), boundary_width(cod)
-    ins = _layout_slots(dom)
-    outs = [[wd + c for c in slots] for slots in _layout_slots(cod)]
-    nd, nc = len(r.dom), len(r.cod)
-    parts = [(r.rel, _flat_cols(r.dom, ins[:nd]) + _flat_cols(r.cod, outs[:nc])),
-             (s.rel, _flat_cols(s.dom, ins[nd:]) + _flat_cols(s.cod, outs[nc:]))]
-    rel = ar.conjoin(r.p, wd + wc, parts, range(wd + wc), wd, wc)
-    return GradedRelation(r.p, dom, cod, rel)
+    return tensor_all(r, s)
 
 
 def tensor_all(*rels: GradedRelation) -> GradedRelation:
-    out = rels[0]
-    for r in rels[1:]:
-        out = tensor(out, r)
-    return out
+    """Side-by-side placement, each factor conjoined straight into the
+    merged boundary layout."""
+    for r, s in zip(rels, rels[1:]):
+        if r.p != s.p:
+            raise ValueError("field mismatch")
+    dom = sum((r.dom for r in rels), ())
+    cod = sum((r.cod for r in rels), ())
+    wd, wc = boundary_width(dom), boundary_width(cod)
+    ins = _layout_slots(dom)
+    outs = [[wd + c for c in slots] for slots in _layout_slots(cod)]
+    parts, i, o = [], 0, 0
+    for r in rels:
+        nd, nc = len(r.dom), len(r.cod)
+        parts.append((r.rel, _flat_cols(r.dom, ins[i:i + nd])
+                      + _flat_cols(r.cod, outs[o:o + nc])))
+        i, o = i + nd, o + nc
+    rel = ar.conjoin(rels[0].p, wd + wc, parts, range(wd + wc), wd, wc)
+    return GradedRelation(rels[0].p, dom, cod, rel)
 
 
 def dagger(r: GradedRelation) -> GradedRelation:

@@ -16,9 +16,10 @@ reference.  The measured outcome on wire j is omega(b_j, -) with
 b_j = U^-1 e_zj.
 
 Correction tables map syndromes to errors.  verify_correction replays
-the protocol relationally, one branch per error: encode, corrupt,
-measure, subtract the tabulated correction, decode, and compare with the
-identity channel beside the pinned classical outcome.  Linear tables
+the protocol relationally, one branch per error: encode, corrupt and
+measure as one composite, read the syndrome off it, then subtract the
+tabulated correction, decode, and compare with the identity channel
+beside the pinned classical outcome.  Linear tables
 never need the branching: affine_correction_protocol applies the
 correction with a classically controlled Weyl shift, keeping the whole
 protocol a single relation.
@@ -150,33 +151,38 @@ def code_state(code: StabilizerCode) -> db.GradedRelation:
     return code._state
 
 
-def _classical_readout(state: db.GradedRelation, n: int) -> np.ndarray:
-    """The classical marginal of a measured (Q^n, C^d) state, its
-    coordinates past the 2n quantum ones: deterministic exactly when the
-    linear part is zero there.  Oracle: tests/oracles.py `wired_readout`."""
-    got = state.rel.shift_and_linear()
+def _classical_readout(measured: db.GradedRelation, n: int) -> np.ndarray:
+    """The classical outcome of a measured relation into (Q^n, C^d), its
+    coordinates past the inputs and the 2n quantum ones: deterministic
+    exactly when the linear part is zero there.  Oracle:
+    tests/oracles.py `wired_readout`."""
+    got = measured.rel.shift_and_linear()
     if got is None:
         raise ValueError("measurement produced the empty relation")
     pt, lin = got
-    if lin[:, 2 * n:].any():
+    past = measured.rel.dom + 2 * n
+    if lin[:, past:].any():
         raise ValueError("syndrome outcome is not deterministic")
-    return pt[2 * n:]
+    return pt[past:]
+
+
+def _measured(code: StabilizerCode, source: db.GradedRelation, error):
+    """The error mod p, and source ; weyl(error) ; measurement as one
+    composite."""
+    p, n = code.p, code.n
+    e = mod_p(error, p).reshape(-1)
+    if e.shape[0] != 2 * n:
+        raise ValueError("error vector has length %d, expected %d"
+                         % (e.shape[0], 2 * n))
+    return e, db.compose_all(source, db.weyl(p, e[:n], e[n:]), measurement(code))
 
 
 def syndrome(code: StabilizerCode, error) -> np.ndarray:
     """Classical outcome of the measurement circuit after the Weyl error.
 
     Zero on the uncorrupted code state and linear in the error."""
-    p, n, d = code.p, code.n, code.d
-    e = mod_p(error, p).reshape(-1)
-    if e.shape[0] != 2 * n:
-        raise ValueError("error vector has length %d, expected %d"
-                         % (e.shape[0], 2 * n))
-    if d == 0:
-        return np.zeros(0, dtype=np.int64)
-    corrupted = db.compose_all(code_state(code), db.weyl(p, e[:n], e[n:]),
-                               measurement(code))
-    return _classical_readout(corrupted, n)
+    _, corrupted = _measured(code, code_state(code), error)
+    return _classical_readout(corrupted, code.n)
 
 
 def undetectable(code: StabilizerCode, error) -> bool:
@@ -265,17 +271,19 @@ def verify_correction(code: StabilizerCode, table: CorrectionTable,
                       errors) -> List[CorrectionCheck]:
     """Replay the protocol for each error and report pass/fail.
 
-    Per error e: encode, apply weyl(e), measure the syndrome, apply the
-    tabulated correction weyl(-f(d)), decode.  The branch passes when
-    the composite equals the identity channel beside the classical
-    outcome pinned to d.
+    Per error e: encode, apply weyl(e) and measure the syndrome, as one
+    composite whose classical outcome is the syndrome d; then apply the
+    tabulated correction weyl(-f(d)) and decode.  The branch passes when
+    it equals the identity channel beside the classical outcome pinned
+    to d.
     """
     p, n, k, d = code.p, code.n, code.k, code.d
     id_cls = db.identity_graded(p, db.classical_wires(d))
+    decode = db.tensor(db.dagger(code.encoder), id_cls)
     reports = []
     for error in errors:
-        e = mod_p(error, p).reshape(-1)
-        dvec = syndrome(code, e)
+        e, measured = _measured(code, code.encoder, error)
+        dvec = _classical_readout(measured, n)
         e_key = tuple(int(v) for v in e)
         d_key = tuple(int(v) for v in dvec)
         corr = table.lookup(dvec)
@@ -284,11 +292,9 @@ def verify_correction(code: StabilizerCode, table: CorrectionTable,
                                            "no table entry"))
             continue
         branch = db.compose_all(
-            code.encoder,
-            db.weyl(p, e[:n], e[n:]),
-            measurement(code),
+            measured,
             db.tensor(db.weyl(p, (-corr[:n]) % p, (-corr[n:]) % p), id_cls),
-            db.tensor(db.dagger(code.encoder), id_cls))
+            decode)
         expected = db.tensor(db.identity_relation(p, k),
                              db.classical_point(p, dvec))
         if db.equal(branch, expected):
@@ -327,21 +333,18 @@ def affine_correction_protocol(code: StabilizerCode, table,
         stages.append(db.weyl(p, e[:n], e[n:]))
     stages.append(measurement(code))
     if d == 0:
-        stages.append(db.dagger(code.encoder))
-        return db.compose_all(*stages)
+        return db.compose_all(*stages, db.dagger(code.encoder))
     copy = db.tensor_all(*[db.classical_z_spider(p, 1, 2)] * d)
     if d > 1:
         perm = [2 * i for i in range(d)] + [2 * i + 1 for i in range(d)]
         copy = db.compose(copy,
                           db.wire_permutation(p, db.classical_wires(2 * d), perm))
+    spread = db.retype(db.tensor(db.identity_relation(p, n), copy),
+                       cod=(db.classical_wires(d) + db.quantum_wires(n)
+                            + db.classical_wires(d)))
     id_cls = db.identity_graded(p, db.classical_wires(d))
-    spread = db.compose(db.compose_all(*stages),
-                        db.tensor(db.identity_relation(p, n), copy))
-    spread = db.retype(spread, cod=(db.classical_wires(d)
-                                    + db.quantum_wires(n)
-                                    + db.classical_wires(d)))
     control = db.controlled_weyl(p, (-matrix[:n]) % p, (-matrix[n:]) % p)
-    return db.compose_all(spread,
+    return db.compose_all(*stages, spread,
                           db.tensor(control, id_cls),
                           db.tensor(db.dagger(code.encoder), id_cls))
 

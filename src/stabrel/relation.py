@@ -11,12 +11,14 @@ RREF makes equality of relations a bitwise comparison.
 Coordinates are ordered: input wires left-to-right, then output wires
 left-to-right, then h.  That layout is known to this module only: other
 modules build relations from constraints or rows and move coordinates
-with `relabel`.  `conjoin` is the one elimination behind `compose`,
-`tensor` and diagram evaluation: it stacks the parts' constraint rows
-over shared coordinates, hidden (interior) coordinates first, and
+with `relabel`.  `conjoin` is the one elimination behind `compose_all`,
+`tensor_all` and diagram evaluation: it stacks the parts' constraint
+rows over shared coordinates, hidden (interior) coordinates first, and
 eliminates them in one RREF, as in relational composition seen as
 variable elimination.  The rows left with a boundary pivot are the
-composite's constraints.
+composite's constraints.  A chain of k relations is one `conjoin`, its
+k - 1 interior boundaries all hidden; `compose` and `tensor` are the
+chains of two.
 """
 
 from __future__ import annotations
@@ -202,43 +204,44 @@ def relabel(r: AffineRelation, dom: int, cod: int, cols, negate) -> AffineRelati
 
 
 def compose(r: AffineRelation, s: AffineRelation) -> AffineRelation:
-    """Relational composite: r then s.
-
-    {(x, z) : exists y with (x, y) in r and (y, z) in s}: both relations
-    conjoined over the joint coordinates (x, y, z), y projected away.
-    """
-    if r.p != s.p:
-        raise ValueError("field mismatch: p=%d vs p=%d" % (r.p, s.p))
-    if r.cod != s.dom:
-        raise ValueError("arity mismatch: cod %d vs dom %d" % (r.cod, s.dom))
-    n, m, l = r.dom, r.cod, s.cod
-    return conjoin(r.p, n + m + l, [(r, range(n + m)), (s, range(n, n + m + l))],
-                   [*range(n), *range(n + m, n + m + l)], n, l)
+    """Relational composite: r then s."""
+    return compose_all(r, s)
 
 
 def compose_all(*rels: AffineRelation) -> AffineRelation:
-    out = rels[0]
-    for r in rels[1:]:
-        out = compose(out, r)
-    return out
+    """The chain r_1 ; ... ; r_k: every r_i conjoined on its boundaries
+    (x_(i-1), x_i), the interior x_1 .. x_(k-1) projected away."""
+    for r, s in zip(rels, rels[1:]):
+        if r.p != s.p:
+            raise ValueError("field mismatch: p=%d vs p=%d" % (r.p, s.p))
+        if r.cod != s.dom:
+            raise ValueError("arity mismatch: cod %d vs dom %d" % (r.cod, s.dom))
+    starts = [0, rels[0].dom]  # x_i occupies columns starts[i]:starts[i+1]
+    for r in rels:
+        starts.append(starts[-1] + r.cod)
+    parts = [(r, range(starts[i], starts[i + 2])) for i, r in enumerate(rels)]
+    return conjoin(rels[0].p, starts[-1], parts,
+                   [*range(starts[1]), *range(starts[-2], starts[-1])],
+                   rels[0].dom, rels[-1].cod)
 
 
 def tensor(r: AffineRelation, s: AffineRelation) -> AffineRelation:
     """Direct sum: inputs (x, x'), outputs (y, y')."""
-    if r.p != s.p:
-        raise ValueError("field mismatch: p=%d vs p=%d" % (r.p, s.p))
-    n1, m1, n2, m2 = r.dom, r.cod, s.dom, s.cod
-    n, w = n1 + n2, n1 + n2 + m1 + m2
-    return conjoin(r.p, w, [(r, [*range(n1), *range(n, n + m1)]),
-                            (s, [*range(n1, n), *range(n + m1, w)])],
-                   range(w), n, m1 + m2)
+    return tensor_all(r, s)
 
 
 def tensor_all(*rels: AffineRelation) -> AffineRelation:
-    out = rels[0]
-    for r in rels[1:]:
-        out = tensor(out, r)
-    return out
+    """Direct sum of every factor as one elimination: all inputs side by
+    side, then all outputs."""
+    for r, s in zip(rels, rels[1:]):
+        if r.p != s.p:
+            raise ValueError("field mismatch: p=%d vs p=%d" % (r.p, s.p))
+    n = sum(r.dom for r in rels)
+    i, o, parts = 0, n, []
+    for r in rels:
+        parts.append((r, [*range(i, i + r.dom), *range(o, o + r.cod)]))
+        i, o = i + r.dom, o + r.cod
+    return conjoin(rels[0].p, o, parts, range(o), n, o - n)
 
 
 def converse(r: AffineRelation) -> AffineRelation:

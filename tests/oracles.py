@@ -1,14 +1,15 @@
 """Brute-force reference semantics for the test suite.
 
-Everything but the last five sections enumerates points with plain
+Everything but the last seven sections enumerates points with plain
 Python integer arithmetic.  None of it calls the library's elimination
 routines, so these functions can serve as independent oracles for them.
 
-The last five sections derive what `stabrel.relation`, `stabrel.doubled`
+The last seven sections derive what `stabrel.relation`, `stabrel.doubled`
 and `stabrel.qec` build in one elimination or in closed form from a
 different route.  The conjunction of relations is one kernel over every
-column, then the RREF of the kept columns.  The graded tensor is the
-flat `relation.tensor` with its columns permuted into the merged
+column, then the RREF of the kept columns.  A chain of compositions or
+tensors is the pairwise fold of the binary form.  The graded tensor is
+the flat `relation.tensor` with its columns permuted into the merged
 boundary layout.  The doubled generators
 come from wiring the plain affine spiders together with
 `relation.compose`/`tensor`, one feedback wire carrying the linear
@@ -16,15 +17,16 @@ phase through a scalar, and from composing the Fourier gate out of its
 three-spider Euler decomposition.  The code-layer relations (encoder,
 syndrome measurement, classical readout) are composed as circuits: the
 dilation's symplectomorphism and its inverse around one-wire product
-states, measurements and discards.  The affine fit of a correction
-table solves for one error coordinate at a time.
-"""
+states, measurements and discards.  Correction is verified per error
+from the state's syndrome, then the whole five-stage branch.  The affine
+fit of a correction table solves for one error coordinate at a time."""
 
 import itertools
 
 import numpy as np
 
 from stabrel import doubled as db
+from stabrel import qec
 from stabrel import relation as ar
 from stabrel import symplectic as sy
 from stabrel.linalg import Subspace, mod_p, nullspace_mod, solve_mod
@@ -176,6 +178,19 @@ def kernel_conjoin(p, width, parts, keep, dom, cod):
     joint = nullspace_mod(sys, p)
     return ar.AffineRelation(p, dom, cod, Subspace(p, dom + cod + 1,
                                                    joint[:, [*keep, width]]))
+
+
+# ---------------------------------------------------------------------------
+# chains as pairwise folds
+
+
+def fold(step, *rels):
+    """rels[0] step rels[1] step ..., one binary `step` at a time: the
+    pairwise loop `compose_all` and `tensor_all` ran in both modules."""
+    out = rels[0]
+    for r in rels[1:]:
+        out = step(out, r)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +354,43 @@ def wired_readout(p, n, d):
     parts = [db.discard(p)] * n
     parts.append(db.identity_graded(p, db.classical_wires(d)))
     return db.tensor_all(*parts)
+
+
+# ---------------------------------------------------------------------------
+# correction, verified branch by branch from the state's syndrome
+
+
+def stepwise_verify_correction(code, table, errors):
+    """Per error e: the syndrome d of the corrupted code state, then
+    encode, apply weyl(e), measure, apply weyl(-f(d)) and decode as one
+    five-stage branch, compared with the identity beside the pinned d."""
+    p, n, k, d = code.p, code.n, code.k, code.d
+    id_cls = db.identity_graded(p, db.classical_wires(d))
+    reports = []
+    for error in errors:
+        e = mod_p(error, p).reshape(-1)
+        dvec = qec.syndrome(code, e)
+        e_key = tuple(int(v) for v in e)
+        d_key = tuple(int(v) for v in dvec)
+        corr = table.lookup(dvec)
+        if corr is None:
+            reports.append(qec.CorrectionCheck(e_key, d_key, False,
+                                               "no table entry"))
+            continue
+        branch = db.compose_all(
+            code.encoder,
+            db.weyl(p, e[:n], e[n:]),
+            qec.measurement(code),
+            db.tensor(db.weyl(p, (-corr[:n]) % p, (-corr[n:]) % p), id_cls),
+            db.tensor(db.dagger(code.encoder), id_cls))
+        expected = db.tensor(db.identity_relation(p, k),
+                             db.classical_point(p, dvec))
+        if db.equal(branch, expected):
+            reports.append(qec.CorrectionCheck(e_key, d_key, True, ""))
+        else:
+            reports.append(qec.CorrectionCheck(
+                e_key, d_key, False, "residual error after correction"))
+    return reports
 
 
 # ---------------------------------------------------------------------------

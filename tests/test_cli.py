@@ -187,6 +187,21 @@ def test_demo_repetition3(capsys):
                    "CORRECTS weight<=1 X: yes\n")
 
 
+@pytest.mark.parametrize("p", ["4294967311", "2305843009213693951"])
+def test_demo_repetition3_at_a_wide_prime(capsys, p):
+    """The weight-1 X errors are made and verified one at a time, so the
+    verdict stops at the first failing branch (X^2 has no table entry)
+    instead of building all 3(p - 1) errors first."""
+    code, out, err = run(capsys, "demo", "repetition3", "--fixtures-dir", FIX,
+                         "--p", p)
+    assert (code, err) == (1, "")
+    assert out == ("(1,0,0)->(1,1)\n"
+                   "(0,1,0)->(1,0)\n"
+                   "(0,0,1)->(0,1)\n"
+                   "(0,0,0)->(0,0)\n"
+                   "CORRECTS weight<=1 X: no\n")
+
+
 def test_demo_verdicts_are_computed(capsys, tmp_path):
     """Mutating a fixture flips the demo verdict."""
     mutated = tmp_path / "fixtures"

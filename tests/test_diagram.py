@@ -272,6 +272,22 @@ def test_compose_chains_and_loops():
         dg.compose_diagrams(cup, cup)
 
 
+def test_compose_refuses_wires_of_different_type():
+    quantum = dg.parse("p=3; layer=doubled\nwire in0 out0\n")
+    classical = dg.parse("p=3; layer=doubled\nwire in0 out0\n"
+                         "wiretype 0 classical\n")
+    with pytest.raises(DiagramError, match="boundary wire types do not match"):
+        dg.compose_diagrams(quantum, classical)
+    # built by hand, past the parser's checks: out0 ends two wires, and the
+    # boundary type is read off the classical one
+    twice = dg.Diagram(3, dg.LAYER_DOUBLED, [],
+                       [(("b", "in", 0), ("b", "out", 0)),
+                        (("b", "in", 1), ("b", "out", 0))],
+                       [db.QUANTUM, db.CLASSICAL], 2, 1)
+    with pytest.raises(DiagramError, match="glued wires disagree on type"):
+        dg.compose_diagrams(twice, classical)
+
+
 def test_tensor_with_blank_diagram():
     blank = dg.empty_diagram(3, dg.LAYER_AFFINE)
     d = fixture("two_spiders.diagram")

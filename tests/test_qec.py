@@ -28,7 +28,8 @@ from stabrel.qec import (
 )
 
 from gen import random_code, random_coisotropic
-from oracles import (in_span, omega_product, per_coordinate_fit, wired_encoder,
+from oracles import (in_span, omega_product, per_coordinate_fit,
+                     stepwise_verify_correction, wired_encoder,
                      wired_measurement, wired_readout)
 
 FIX = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -451,6 +452,35 @@ def test_wide_prime_syndromes_match_the_form():
             e = [rng.randrange(p) for _ in range(2 * n)]
             want = [omega_product(g, e, p, n) for g in gens]
             assert [int(v) for v in syndrome(code, e)] == want
+
+
+def test_verify_correction_matches_the_stepwise_replay():
+    """Reading each syndrome off its own encoder ; weyl(e) ; measurement
+    composite gives the reports of the syndrome-first replay, on tables
+    that hold right, wrong and missing entries, at small and wide primes."""
+    rng = random.Random(79)
+    checked = set()
+    for p in (2, 3, 5) + WIDE_PRIMES:
+        for n, d in ((1, 1), (2, 1), (3, 2), (3, 3)):
+            sub, gens = random_code(rng, p, n, d, shifted=bool(rng.randrange(2)))
+            code = code_from_subspace(sub, generators=gens)
+            errors = [np.zeros(2 * n, dtype=np.int64)] + [
+                np.array([rng.randrange(p) for _ in range(2 * n)])
+                for _ in range(5)]
+            entries = {}
+            for e in errors[1:4]:  # the third entry, reversed, is usually wrong
+                key = tuple(int(v) for v in syndrome(code, e))
+                if any(key):
+                    entries.setdefault(key, e if len(entries) < 2 else e[::-1])
+            table = CorrectionTable(p, n, d, entries)
+            got = verify_correction(code, table, errors)
+            assert got == stepwise_verify_correction(code, table, errors)
+            checked.update((r.ok, r.reason) for r in got)
+    assert checked == {(True, ""), (False, "no table entry"),
+                       (False, "residual error after correction")}
+    code, table = rep_code()
+    with pytest.raises(ValueError, match="error vector has length 4, expected 6"):
+        verify_correction(code, table, [x_error(3, 0), [0, 1, 0, 1]])
 
 
 def test_errors_file_and_weight():

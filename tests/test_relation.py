@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stabrel import doubled as db
 from stabrel.linalg import nullspace_mod
 from stabrel.relation import (
     AffineRelation,
@@ -29,12 +31,14 @@ from stabrel.relation import (
     subset,
     swap,
     tensor,
+    tensor_all,
     total,
     x_spider,
     z_spider,
 )
 
 from oracles import (
+    fold,
     all_subspaces,
     complement_points,
     compose_points,
@@ -529,3 +533,80 @@ def test_ortho_complement_is_an_involution(case):
         for v in perp.tolist():
             assert sum(x * y for x, y in zip(u, v)) % p == 0
     assert lin.shape[0] + perp.shape[0] == a + b
+
+
+# -- n-ary chains against the pairwise fold ------------------------------------
+
+
+def random_link(rng, p, n, m):
+    """A random relation n -> m, half the time the graph of an affine map,
+    so that chains of them are often non-empty."""
+    if rng.randrange(2):
+        return random_relation(rng, p, n, m)
+    coeffs = [[rng.randrange(p) for _ in range(n)] + [int(i == j) for j in range(m)]
+              for i in range(m)]
+    return AffineRelation.from_constraints(p, n, m, coeffs,
+                                           [rng.randrange(p) for _ in range(m)])
+
+
+def random_graded(rng, p, dom, cod):
+    rel = random_link(rng, p, db.boundary_width(dom), db.boundary_width(cod))
+    return db.GradedRelation(p, dom, cod, rel)
+
+
+def random_types(rng):
+    return tuple(rng.choice((db.QUANTUM, db.CLASSICAL))
+                 for _ in range(rng.randrange(3)))
+
+
+def test_chains_match_the_pairwise_fold():
+    """compose_all and tensor_all, one elimination each, equal the fold
+    of the binary forms bit for bit on seeded chains of 1 to 6 factors,
+    affine and graded; past int64 the two also hold the same points,
+    checked in Python ints."""
+    rng = random.Random(71)
+    for p, k, _ in itertools.product(LAW_PRIMES, range(1, 7), range(3)):
+        widths = [rng.randrange(4) for _ in range(k + 1)]
+        chain = [random_link(rng, p, a, b) for a, b in zip(widths, widths[1:])]
+        factors = [random_link(rng, p, rng.randrange(3), rng.randrange(3))
+                   for _ in range(k)]
+        types = [random_types(rng) for _ in range(k + 1)]
+        graded = [random_graded(rng, p, a, b)
+                  for a, b in zip(types, types[1:])]
+        beside = [random_graded(rng, p, random_types(rng), random_types(rng))
+                  for _ in range(k)]
+        pairs = [(compose_all(*chain), fold(compose, *chain)),
+                 (tensor_all(*factors), fold(tensor, *factors)),
+                 (db.compose_all(*graded), fold(db.compose, *graded)),
+                 (db.tensor_all(*beside), fold(db.tensor, *beside))]
+        for got, want in pairs:
+            assert got == want, (p, k)
+            got, want = getattr(got, "rel", got), getattr(want, "rel", want)
+            assert got.rep.basis.dtype == np.int64
+            if p > 2**31:
+                assert same_points(got, want), (p, k)
+
+
+def test_chains_refuse_a_mismatch_at_any_pair():
+    rng = random.Random(73)
+    p, q, c = 5, db.QUANTUM, db.CLASSICAL
+    for k in range(2, 7):
+        for bad in range(k - 1):
+            chain = [random_relation(rng, p, 1, 1) for _ in range(k)]
+            chain[bad + 1] = random_relation(rng, p, 2, 1)
+            with pytest.raises(ValueError, match="arity mismatch: cod 1 vs dom 2"):
+                compose_all(*chain)
+            chain[bad + 1] = random_relation(rng, 7, 1, 1)
+            with pytest.raises(ValueError, match="field mismatch: p=5 vs p=7"):
+                compose_all(*chain)
+            factors = [random_relation(rng, p, 1, 1) for _ in range(k)]
+            factors[bad + 1] = random_relation(rng, 7, 1, 1)
+            with pytest.raises(ValueError, match="field mismatch: p=5 vs p=7"):
+                tensor_all(*factors)
+            graded = [random_graded(rng, p, (q,), (q,)) for _ in range(k)]
+            graded[bad + 1] = random_graded(rng, p, (c,), (q,))
+            with pytest.raises(ValueError, match="boundary mismatch"):
+                db.compose_all(*graded)
+            graded[bad + 1] = random_graded(rng, 7, (q,), (q,))
+            with pytest.raises(ValueError, match="field mismatch"):
+                db.tensor_all(*graded)
