@@ -2,17 +2,19 @@
 
 A diagram is a list of nodes (spiders, cups, caps, measurements, ...)
 joined by wires, together with ordered input and output boundary slots.
-Evaluation assigns one variable per wire coordinate, collects every
+`Diagram` checks the wiring once, when it is built, and indexes every
+endpoint's wire.  Evaluation assigns one variable per wire coordinate
+(two for a quantum wire, one for a classical wire), collects every
 node's linear constraints into a single system over F_p, and eliminates
 the internal variables exactly, interior columns first, leaving the
 boundary's constraints, all in one `relation.conjoin`.  Feedback loops
 need no special treatment -- they are just more equations.
 
-Two layers share the format:
+Two layers share the format and the evaluator:
 
-* ``layer=affine``  -- one coordinate per wire, nodes drawn from the
-  plain relational generators of `relation`.  Evaluates to an
-  ``AffineRelation``.
+* ``layer=affine``  -- the classical fragment: every wire is classical,
+  and the nodes are the plain relational generators of `relation`.
+  Evaluates to an ``AffineRelation``.
 * ``layer=doubled`` -- quantum wires carry a (z, x) coordinate pair,
   classical wires one coordinate; the node vocabulary adds scaling,
   discard, measurements, preparations and classical spiders.  Evaluates
@@ -34,17 +36,18 @@ File format, one statement per line, ``#`` starts a comment::
 
 Endpoints are ``in<k>``/``out<k>`` (boundary slots) or ``n<id>.in<k>``/
 ``n<id>.out<k>`` (node ports).  ``wiretype <k> <quantum|classical>``
-declares the type of the k-th ``wire`` statement; wires whose type is
-not forced by a node port default to quantum.  Boxes (``box:<name>``)
-reference named sub-diagrams supplied to `evaluate` and must declare
-their arities in the file.
+declares the type of the k-th ``wire`` statement on ``layer=doubled``;
+a wire whose type no node port forces takes the layer's kind: classical
+on ``layer=affine``, quantum on ``layer=doubled``.  Boxes
+(``box:<name>``) reference named sub-diagrams supplied to `evaluate`
+and must declare their arities in the file.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from . import doubled as db
 from . import relation as ar
@@ -58,13 +61,17 @@ CLASSICAL = db.CLASSICAL
 
 
 class DiagramError(ValueError):
-    """Problem with a diagram file or structure; carries a line number."""
+    """Problem with a diagram file or structure; carries a line number.
 
-    def __init__(self, message, line=None):
+    `at` names the wire (``("wire", index)``) or node (``("node", id)``)
+    that a structural check found at fault, so `parse` can add its line."""
+
+    def __init__(self, message, line=None, at=None):
         if line is not None:
             message = "line %d: %s" % (line, message)
         super().__init__(message)
         self.line = line
+        self.at = at
 
 
 class Node:
@@ -86,21 +93,79 @@ class Node:
 
 
 class Diagram:
-    """Immutable diagram; construct via `parse` or the combinators."""
+    """Immutable diagram, checked once when built: every node port and
+    boundary slot ends exactly one wire, each side's slots are 0..k-1,
+    and a wire at a generator port has that port's type.
 
-    __slots__ = ("p", "layer", "nodes", "wires", "wire_types",
+    A wire type given as None takes the type its first generator port
+    pins, or else the layer's kind: classical on ``layer=affine``, which
+    refuses a quantum wire, and quantum on ``layer=doubled``.  `ends`
+    maps every endpoint to its wire; `n_in`, `n_out` and the boundary
+    types are read off it.  Construct via `parse` or the combinators."""
+
+    __slots__ = ("p", "layer", "nodes", "wires", "wire_types", "ends",
                  "n_in", "n_out")
 
-    def __init__(self, p, layer, nodes, wires, wire_types, n_in, n_out):
+    def __init__(self, p, layer, nodes, wires, wire_types):
         self.p = p if isinstance(p, Prime) else Prime(p)
         if layer not in (LAYER_AFFINE, LAYER_DOUBLED):
             raise DiagramError("unknown layer %r" % (layer,))
         self.layer = layer
         self.nodes = tuple(nodes)
         self.wires = tuple(wires)
-        self.wire_types = tuple(wire_types)
-        self.n_in = int(n_in)
-        self.n_out = int(n_out)
+        by_id = {nd.ident: nd for nd in self.nodes}
+        self.ends: Dict[tuple, int] = {}
+        slots = {"in": 0, "out": 0}
+        for w, (a, b) in enumerate(self.wires):
+            if a == b:
+                raise DiagramError("wire joins an endpoint to itself",
+                                   at=("wire", w))
+            for ep in (a, b):
+                if ep in self.ends:
+                    raise DiagramError("endpoint %s used twice" % _ep_str(ep),
+                                       at=("wire", w))
+                self.ends[ep] = w
+                if ep[0] == "b":
+                    slots[ep[1]] += 1
+                    continue
+                _, ident, side, k = ep
+                nd = by_id.get(ident)
+                if nd is None:
+                    raise DiagramError("wire references missing node %d"
+                                       % ident, at=("wire", w))
+                if not 0 <= k < (nd.n_in if side == "in" else nd.n_out):
+                    raise DiagramError("node %d has no port %s%d"
+                                       % (ident, side, k), at=("wire", w))
+        for nd in self.nodes:
+            for ep in _ports(nd):
+                if ep not in self.ends:
+                    raise DiagramError("dangling port %s" % _ep_str(ep),
+                                       at=("node", nd.ident))
+        for side, count in slots.items():
+            if any(("b", side, k) not in self.ends for k in range(count)):
+                raise DiagramError("boundary %s-slots not contiguous from 0"
+                                   % side)
+        self.n_in, self.n_out = slots["in"], slots["out"]
+
+        types = list(wire_types)
+        for w, pair in enumerate(self.wires):
+            if layer == LAYER_AFFINE and types[w] == QUANTUM:
+                raise DiagramError("wiretype only applies to layer=doubled",
+                                   at=("wire", w))
+            for ep in pair:
+                if ep[0] == "b" or by_id[ep[1]].kind.startswith("box:"):
+                    continue
+                spec = NODE_SPECS[layer, by_id[ep[1]].kind]
+                want = spec.ports[ep[2] == "out"]
+                if types[w] is None:
+                    types[w] = want
+                elif types[w] != want:
+                    raise DiagramError("wire %d is %s but port %s needs %s"
+                                       % (w, types[w], _ep_str(ep), want),
+                                       at=("wire", w))
+            if types[w] is None:
+                types[w] = CLASSICAL if layer == LAYER_AFFINE else QUANTUM
+        self.wire_types = tuple(types)
 
     def node(self, ident: int) -> Node:
         for nd in self.nodes:
@@ -109,23 +174,23 @@ class Diagram:
         raise KeyError(ident)
 
     def dom_types(self) -> Tuple[str, ...]:
-        return self._boundary_types("in", self.n_in)
+        return tuple(self.wire_types[self.ends["b", "in", k]]
+                     for k in range(self.n_in))
 
     def cod_types(self) -> Tuple[str, ...]:
-        return self._boundary_types("out", self.n_out)
-
-    def _boundary_types(self, side, count):
-        slot_type = {}
-        for w, (a, b) in enumerate(self.wires):
-            for ep in (a, b):
-                if ep[0] == "b" and ep[1] == side:
-                    slot_type[ep[2]] = self.wire_types[w]
-        return tuple(slot_type[k] for k in range(count))
+        return tuple(self.wire_types[self.ends["b", "out", k]]
+                     for k in range(self.n_out))
 
     def __repr__(self):
         return "Diagram(p=%d, %s, %d nodes, %d wires, %d->%d)" % (
             self.p, self.layer, len(self.nodes), len(self.wires),
             self.n_in, self.n_out)
+
+
+def _ports(nd: Node) -> List[tuple]:
+    """The endpoints of a node's ports: its inputs, then its outputs."""
+    return ([("n", nd.ident, "in", k) for k in range(nd.n_in)]
+            + [("n", nd.ident, "out", k) for k in range(nd.n_out)])
 
 
 # ---------------------------------------------------------------------------
@@ -135,32 +200,42 @@ class Diagram:
 # when the file declares it.  `phase` is the rule on the node's phase pair
 # (a, b): "none" (both zero), "single" (b zero), "invertible" (b zero and
 # a nonzero) or "pair" (any).  `ports` is the wire type of every input and
-# of every output, None on the untyped affine layer.  `build(p, n_in,
+# of every output; every affine wire is classical.  `build(p, n_in,
 # n_out, a, b)` returns the node's AffineRelation; builders look their
 # constructor up when called, so a patched module attribute is seen.
 NodeSpec = namedtuple("NodeSpec", ["arity", "phase", "ports", "build"])
 
 NODE_SPECS = {
     (LAYER_AFFINE, "z_spider"): NodeSpec(
-        None, "none", None, lambda p, n, m, a, b: ar.z_spider(p, n, m)),
+        None, "none", (CLASSICAL, CLASSICAL),
+        lambda p, n, m, a, b: ar.z_spider(p, n, m)),
     (LAYER_AFFINE, "x_spider"): NodeSpec(
-        None, "single", None, lambda p, n, m, a, b: ar.x_spider(p, n, m, a)),
+        None, "single", (CLASSICAL, CLASSICAL),
+        lambda p, n, m, a, b: ar.x_spider(p, n, m, a)),
     (LAYER_AFFINE, "scalar"): NodeSpec(
-        (1, 1), "single", None, lambda p, n, m, a, b: ar.scalar(p, a)),
+        (1, 1), "single", (CLASSICAL, CLASSICAL),
+        lambda p, n, m, a, b: ar.scalar(p, a)),
     (LAYER_AFFINE, "co_scalar"): NodeSpec(
-        (1, 1), "single", None, lambda p, n, m, a, b: ar.co_scalar(p, a)),
+        (1, 1), "single", (CLASSICAL, CLASSICAL),
+        lambda p, n, m, a, b: ar.co_scalar(p, a)),
     (LAYER_AFFINE, "affine_unit"): NodeSpec(
-        (0, 1), "none", None, lambda p, n, m, a, b: ar.affine_unit(p)),
+        (0, 1), "none", (CLASSICAL, CLASSICAL),
+        lambda p, n, m, a, b: ar.affine_unit(p)),
     (LAYER_AFFINE, "cup_z"): NodeSpec(
-        (0, 2), "none", None, lambda p, n, m, a, b: ar.cup_z(p)),
+        (0, 2), "none", (CLASSICAL, CLASSICAL),
+        lambda p, n, m, a, b: ar.cup_z(p)),
     (LAYER_AFFINE, "cap_z"): NodeSpec(
-        (2, 0), "none", None, lambda p, n, m, a, b: ar.cap_z(p)),
+        (2, 0), "none", (CLASSICAL, CLASSICAL),
+        lambda p, n, m, a, b: ar.cap_z(p)),
     (LAYER_AFFINE, "cup_x"): NodeSpec(
-        (0, 2), "none", None, lambda p, n, m, a, b: ar.cup_x(p)),
+        (0, 2), "none", (CLASSICAL, CLASSICAL),
+        lambda p, n, m, a, b: ar.cup_x(p)),
     (LAYER_AFFINE, "cap_x"): NodeSpec(
-        (2, 0), "none", None, lambda p, n, m, a, b: ar.cap_x(p)),
+        (2, 0), "none", (CLASSICAL, CLASSICAL),
+        lambda p, n, m, a, b: ar.cap_x(p)),
     (LAYER_AFFINE, "swap"): NodeSpec(
-        (2, 2), "none", None, lambda p, n, m, a, b: ar.swap(p)),
+        (2, 2), "none", (CLASSICAL, CLASSICAL),
+        lambda p, n, m, a, b: ar.swap(p)),
     (LAYER_DOUBLED, "z_spider"): NodeSpec(
         None, "pair", (QUANTUM, QUANTUM),
         lambda p, n, m, a, b: db.z_spider(p, n, m, (a, b)).rel),
@@ -223,17 +298,6 @@ def _check_node(layer, p, nd: Node, line=None):
         raise DiagramError("%s coefficient must be invertible" % kind, line)
 
 
-def _port_types(layer, nd: Node, boxes=None):
-    """Pinned wire types of a node's ports, or None when unconstrained."""
-    if layer == LAYER_AFFINE:
-        return None
-    if nd.kind.startswith("box:"):
-        sub = boxes.get(nd.kind[4:]) if boxes else None
-        return (sub.dom_types(), sub.cod_types()) if sub else None
-    tin, tout = NODE_SPECS[layer, nd.kind].ports
-    return ((tin,) * nd.n_in, (tout,) * nd.n_out)
-
-
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -270,9 +334,8 @@ def parse(text: str, p=None) -> Diagram:
     p = None
     layer = None
     nodes: List[Node] = []
-    node_lines: Dict[int, int] = {}
     wires = []
-    wire_lines = []
+    lines: Dict[tuple, int] = {}  # ("node", id) or ("wire", index) -> line
     declared_types: Dict[int, str] = {}
     seen_header = False
 
@@ -304,7 +367,7 @@ def parse(text: str, p=None) -> Diagram:
             except ValueError:
                 raise DiagramError("bad node id %r" % parts[1], lineno) \
                     from None
-            if ident in node_lines:
+            if ("node", ident) in lines:
                 raise DiagramError("duplicate node id %d" % ident, lineno)
             kind = parts[2]
             kv = _parse_keyvals(parts[3:], lineno)
@@ -341,14 +404,14 @@ def parse(text: str, p=None) -> Diagram:
             nd = Node(ident, kind, phase, n_in, n_out)
             _check_node(layer, p, nd, lineno)
             nodes.append(nd)
-            node_lines[ident] = lineno
+            lines["node", ident] = lineno
         elif parts[0] == "wire":
             if len(parts) != 3:
                 raise DiagramError("wire needs two endpoints", lineno)
             a = _parse_endpoint(parts[1], lineno)
             b = _parse_endpoint(parts[2], lineno)
+            lines["wire", len(wires)] = lineno
             wires.append((a, b))
-            wire_lines.append(lineno)
         elif parts[0] == "wiretype":
             if layer != LAYER_DOUBLED:
                 raise DiagramError("wiretype only applies to layer=doubled",
@@ -373,87 +436,16 @@ def parse(text: str, p=None) -> Diagram:
         if not 0 <= idx < len(wires):
             raise DiagramError("wiretype index %d out of range" % idx)
 
-    n_in, n_out = _check_wiring(nodes, wires, node_lines, wire_lines)
-    wire_types = _resolve_types(layer, nodes, wires, declared_types,
-                                wire_lines)
-    return Diagram(p, layer, nodes, wires, wire_types, n_in, n_out)
+    try:
+        return Diagram(p, layer, nodes, wires,
+                       [declared_types.get(w) for w in range(len(wires))])
+    except DiagramError as exc:
+        raise DiagramError(str(exc), lines.get(exc.at)) from None
 
 
 def parse_file(path, p=None) -> Diagram:
     with open(path, "r") as fh:
         return parse(fh.read(), p=p)
-
-
-def _check_wiring(nodes, wires, node_lines=None, wire_lines=None):
-    """Every port and boundary slot must have exactly one incident wire."""
-    node_lines = node_lines or {}
-    wire_lines = wire_lines or {}
-    by_id = {nd.ident: nd for nd in nodes}
-    seen: Dict[tuple, int] = {}
-    bound = {"in": set(), "out": set()}
-    for w, (a, b) in enumerate(wires):
-        line = wire_lines[w] if w < len(wire_lines) else None
-        if a == b:
-            raise DiagramError("wire joins an endpoint to itself", line)
-        for ep in (a, b):
-            if ep in seen:
-                raise DiagramError("endpoint %s used twice" % _ep_str(ep),
-                                   line)
-            seen[ep] = w
-            if ep[0] == "n":
-                _, ident, side, k = ep
-                nd = by_id.get(ident)
-                if nd is None:
-                    raise DiagramError("wire references missing node %d"
-                                       % ident, line)
-                arity = nd.n_in if side == "in" else nd.n_out
-                if not 0 <= k < arity:
-                    raise DiagramError(
-                        "node %d has no port %s%d" % (ident, side, k), line)
-            else:
-                _, side, k = ep
-                bound[side].add(k)
-    for nd in nodes:
-        for side, arity in (("in", nd.n_in), ("out", nd.n_out)):
-            for k in range(arity):
-                if ("n", nd.ident, side, k) not in seen:
-                    raise DiagramError(
-                        "dangling port n%d.%s%d" % (nd.ident, side, k),
-                        node_lines.get(nd.ident))
-    for side in ("in", "out"):
-        slots = bound[side]
-        if slots and slots != set(range(max(slots) + 1)):
-            raise DiagramError("boundary %s-slots not contiguous from 0"
-                               % side)
-    return (max(bound["in"]) + 1 if bound["in"] else 0,
-            max(bound["out"]) + 1 if bound["out"] else 0)
-
-
-def _resolve_types(layer, nodes, wires, declared, wire_lines, boxes=None):
-    """Settle each wire's type from node ports and declarations."""
-    if layer == LAYER_AFFINE:
-        if declared:
-            raise DiagramError("wiretype only applies to layer=doubled")
-        return (None,) * len(wires)
-    by_id = {nd.ident: nd for nd in nodes}
-    types: List[Optional[str]] = [declared.get(w) for w in range(len(wires))]
-    for w, (a, b) in enumerate(wires):
-        line = wire_lines[w] if w < len(wire_lines) else None
-        for ep in (a, b):
-            if ep[0] != "n":
-                continue
-            _, ident, side, k = ep
-            pinned = _port_types(layer, by_id[ident], boxes)
-            if pinned is None:
-                continue
-            want = pinned[0][k] if side == "in" else pinned[1][k]
-            if types[w] is None:
-                types[w] = want
-            elif types[w] != want:
-                raise DiagramError(
-                    "wire %d is %s but port %s needs %s" %
-                    (w, types[w], _ep_str(ep), want), line)
-    return tuple(t if t is not None else QUANTUM for t in types)
 
 
 def _ep_str(ep) -> str:
@@ -480,7 +472,12 @@ def _node_relation(d: Diagram, nd: Node, boxes, stack):
     if (sub.n_in, sub.n_out) != (nd.n_in, nd.n_out):
         raise DiagramError("box %r is %d->%d, node declares %d->%d" %
                            (name, sub.n_in, sub.n_out, nd.n_in, nd.n_out))
-    return _evaluate(sub, boxes, stack | {name}).rel
+    rel = _evaluate(sub, boxes, stack | {name})
+    for ep, t in zip(_ports(nd), sub.dom_types() + sub.cod_types()):
+        if d.wire_types[d.ends[ep]] != t:
+            raise DiagramError("port n%d.%s%d expects a %s wire"
+                               % (nd.ident, ep[2], ep[3], t))
+    return rel
 
 
 def evaluate(d: Diagram, boxes=None):
@@ -492,25 +489,23 @@ def evaluate(d: Diagram, boxes=None):
     GradedRelation (layer=doubled).  `boxes` maps names to sub-diagrams
     for box nodes.
     """
-    return _evaluate(d, boxes, frozenset())
+    rel = _evaluate(d, boxes, frozenset())
+    if d.layer == LAYER_AFFINE:
+        return rel
+    return db.GradedRelation(d.p, d.dom_types(), d.cod_types(), rel)
 
 
-def _evaluate(d: Diagram, boxes, stack):
-    doubled = d.layer == LAYER_DOUBLED
+def _evaluate(d: Diagram, boxes, stack) -> ar.AffineRelation:
+    """The relation of `d` on its boundary's flat coordinates."""
     wire_cols: List[range] = []
     ncols = 0
     for t in d.wire_types:
-        width = db.wire_width(t) if doubled else 1
-        wire_cols.append(range(ncols, ncols + width))
-        ncols += width
-    ep_wire = {ep: w for w, pair in enumerate(d.wires) for ep in pair}
+        wire_cols.append(range(ncols, ncols + db.wire_width(t)))
+        ncols += len(wire_cols[-1])
 
-    def cols(eps, types):
+    def cols(eps):
         """Columns of the flat coordinates of the wires at `eps`."""
-        wires = [ep_wire[ep] for ep in eps]
-        if not doubled:
-            return [wire_cols[w][0] for w in wires]
-        return db._flat_cols(types, [wire_cols[w] for w in wires])
+        return db._flat_cols([wire_cols[d.ends[ep]] for ep in eps])
 
     # generator nodes of one kind, arity and phase share their relation;
     # the memo holds only what those three determine, so a box node is
@@ -524,57 +519,32 @@ def _evaluate(d: Diagram, boxes, stack):
             rel = _node_relation(d, nd, boxes, stack)
             if not nd.kind.startswith("box:"):
                 memo[key] = rel
-        ins = [("n", nd.ident, "in", k) for k in range(nd.n_in)]
-        outs = [("n", nd.ident, "out", k) for k in range(nd.n_out)]
-        tin, tout = _port_types(d.layer, nd, boxes) or (None, None)
-        if doubled:
-            if rel.dom != db.boundary_width(tin) or \
-                    rel.cod != db.boundary_width(tout):
-                raise DiagramError(
-                    "node %d boundary types do not match its wires"
-                    % nd.ident)
-            for ep, t in zip(ins + outs, tin + tout):
-                if len(wire_cols[ep_wire[ep]]) != db.wire_width(t):
-                    raise DiagramError("port n%d.%s%d expects a %s wire"
-                                       % (nd.ident, ep[2], ep[3], t))
-        parts.append((rel, cols(ins, tin) + cols(outs, tout)))
+        ports = _ports(nd)
+        parts.append((rel, cols(ports[:nd.n_in]) + cols(ports[nd.n_in:])))
 
-    ins = [("b", "in", k) for k in range(d.n_in)]
-    outs = [("b", "out", k) for k in range(d.n_out)]
-    if not doubled:
-        return ar.conjoin(d.p, ncols, parts, cols(ins, None) + cols(outs, None),
-                          d.n_in, d.n_out)
-    dom_t = tuple(d.wire_types[ep_wire[ep]] for ep in ins)
-    cod_t = tuple(d.wire_types[ep_wire[ep]] for ep in outs)
-    rel = ar.conjoin(d.p, ncols, parts, cols(ins, dom_t) + cols(outs, cod_t),
-                     db.boundary_width(dom_t), db.boundary_width(cod_t))
-    return db.GradedRelation(d.p, dom_t, cod_t, rel)
+    dom = cols([("b", "in", k) for k in range(d.n_in)])
+    cod = cols([("b", "out", k) for k in range(d.n_out)])
+    return ar.conjoin(d.p, ncols, parts, dom + cod, len(dom), len(cod))
 
 
 # ---------------------------------------------------------------------------
 # combinators
 
 def empty_diagram(p, layer=LAYER_AFFINE) -> Diagram:
-    return Diagram(p, layer, (), (), (), 0, 0)
+    return Diagram(p, layer, (), (), ())
 
 
-def _shift_node_eps(wires, offset):
-    out = []
-    for a, b in wires:
-        pair = []
-        for ep in (a, b):
-            if ep[0] == "n":
-                pair.append(("n", ep[1] + offset, ep[2], ep[3]))
-            else:
-                pair.append(ep)
-        out.append(tuple(pair))
-    return out
+def _moved(d: Diagram, ident, shift=(0, 0)):
+    """d's nodes and wires with node i renamed ident(i), and its input and
+    output slots moved up by shift[0] and shift[1]."""
+    def move(ep):
+        if ep[0] == "n":
+            return ("n", ident(ep[1]), ep[2], ep[3])
+        return ("b", ep[1], ep[2] + shift[ep[1] == "out"])
 
-
-def _renumber(d: Diagram, offset: int):
-    nodes = [Node(nd.ident + offset, nd.kind, nd.phase, nd.n_in, nd.n_out)
+    nodes = [Node(ident(nd.ident), nd.kind, nd.phase, nd.n_in, nd.n_out)
              for nd in d.nodes]
-    return nodes, _shift_node_eps(d.wires, offset)
+    return nodes, [(move(a), move(b)) for a, b in d.wires]
 
 
 def tensor_diagrams(d1: Diagram, d2: Diagram) -> Diagram:
@@ -582,21 +552,9 @@ def tensor_diagrams(d1: Diagram, d2: Diagram) -> Diagram:
     if d1.p != d2.p or d1.layer != d2.layer:
         raise DiagramError("diagrams must share p and layer")
     offset = max((nd.ident for nd in d1.nodes), default=-1) + 1
-    nodes2, wires2 = _renumber(d2, offset)
-    shifted = []
-    for a, b in wires2:
-        pair = []
-        for ep in (a, b):
-            if ep[0] == "b":
-                shift = d1.n_in if ep[1] == "in" else d1.n_out
-                pair.append(("b", ep[1], ep[2] + shift))
-            else:
-                pair.append(ep)
-        shifted.append(tuple(pair))
+    nodes2, wires2 = _moved(d2, lambda i: i + offset, (d1.n_in, d1.n_out))
     return Diagram(d1.p, d1.layer, list(d1.nodes) + nodes2,
-                   list(d1.wires) + shifted,
-                   list(d1.wire_types) + list(d2.wire_types),
-                   d1.n_in + d2.n_in, d1.n_out + d2.n_out)
+                   list(d1.wires) + wires2, d1.wire_types + d2.wire_types)
 
 
 def compose_diagrams(d1: Diagram, d2: Diagram) -> Diagram:
@@ -611,22 +569,23 @@ def compose_diagrams(d1: Diagram, d2: Diagram) -> Diagram:
     if d1.n_out != d2.n_in:
         raise DiagramError("boundary mismatch: %d outputs vs %d inputs"
                            % (d1.n_out, d2.n_in))
-    if d1.layer == LAYER_DOUBLED and d1.cod_types() != d2.dom_types():
+    if d1.cod_types() != d2.dom_types():
         raise DiagramError("boundary wire types do not match")
     offset = max((nd.ident for nd in d1.nodes), default=-1) + 1
-    nodes2, wires2 = _renumber(d2, offset)
+    nodes2, wires2 = _moved(d2, lambda i: i + offset)
 
-    # junction k joins d1's out<k> with d2's in<k>; the wires chained
-    # through junctions are one class of a union-find, which becomes the
-    # wire between its two outer ends, or is dropped as a closed loop
-    ends, types = [], []
+    # junction k joins d1's out<k> with d2's in<k>, two wires of one type;
+    # the wires chained through junctions are one class of a union-find,
+    # which becomes the wire between its two outer ends, or is dropped as
+    # a closed loop
+    pairs, types = [], []
     for wires, wire_types, side in ((d1.wires, d1.wire_types, "out"),
                                     (wires2, d2.wire_types, "in")):
         for (a, b), t in zip(wires, wire_types):
-            ends.append([("j", ep[2]) if ep[:2] == ("b", side) else ep
-                         for ep in (a, b)])
+            pairs.append([("j", ep[2]) if ep[:2] == ("b", side) else ep
+                          for ep in (a, b)])
             types.append(t)
-    parent = list(range(len(ends)))
+    parent = list(range(len(pairs)))
 
     def find(w):
         while parent[w] != w:
@@ -635,69 +594,47 @@ def compose_diagrams(d1: Diagram, d2: Diagram) -> Diagram:
         return w
 
     met = {}
-    for w, pair in enumerate(ends):
+    for w, pair in enumerate(pairs):
         for ep in pair:
-            if ep[0] != "j":
-                continue
-            if ep not in met:
-                met[ep] = w
-                continue
-            if d1.layer == LAYER_DOUBLED and types[met[ep]] != types[w]:
-                raise DiagramError("glued wires disagree on type")
-            parent[find(w)] = find(met[ep])
+            if ep[0] == "j":
+                parent[find(w)] = find(met.setdefault(ep, w))
     chains: Dict[int, tuple] = {}
-    for w, pair in enumerate(ends):
+    for w, pair in enumerate(pairs):
         outer, _ = chains.setdefault(find(w), ([], types[w]))
         outer.extend(ep for ep in pair if ep[0] != "j")
     kept = [(tuple(outer), t) for outer, t in chains.values() if outer]
     return Diagram(d1.p, d1.layer, list(d1.nodes) + nodes2,
-                   [wire for wire, _ in kept], [t for _, t in kept],
-                   d1.n_in, d2.n_out)
+                   [wire for wire, _ in kept], [t for _, t in kept])
 
 
 def normalize(d: Diagram) -> Diagram:
     """Canonical structural form: breadth-first node ids from the
     boundary, wires sorted.  Lets syntactically glued diagrams be
     compared to hand-written ones."""
-    adj: Dict[tuple, tuple] = {}
-    for a, b in d.wires:
-        adj[a] = b
-        adj[b] = a
     order: Dict[int, int] = {}
+
+    def other(ep):
+        a, b = d.wires[d.ends[ep]]
+        return b if a == ep else a
 
     def visit(ep):
         if ep[0] == "n" and ep[1] not in order:
             order[ep[1]] = len(order)
-            nd = d.node(ep[1])
-            for side, arity in (("in", nd.n_in), ("out", nd.n_out)):
-                for k in range(arity):
-                    visit(adj[("n", ep[1], side, k)])
+            for port in _ports(d.node(ep[1])):
+                visit(other(port))
 
     for k in range(d.n_in):
-        visit(adj[("b", "in", k)])
+        visit(other(("b", "in", k)))
     for k in range(d.n_out):
-        visit(adj[("b", "out", k)])
+        visit(other(("b", "out", k)))
     for nd in sorted(d.nodes, key=lambda nd: nd.ident):
-        visit(("n", nd.ident, "in", 0) if nd.n_in else
-              ("n", nd.ident, "out", 0))
+        visit(("n", nd.ident))
 
-    def rename(ep):
-        if ep[0] == "n":
-            return ("n", order[ep[1]], ep[2], ep[3])
-        return ep
-
-    nodes = sorted((Node(order[nd.ident], nd.kind, nd.phase,
-                         nd.n_in, nd.n_out) for nd in d.nodes),
-                   key=lambda nd: nd.ident)
-    wires = []
-    for w, (a, b) in enumerate(d.wires):
-        a2, b2 = rename(a), rename(b)
-        if b2 < a2:
-            a2, b2 = b2, a2
-        wires.append(((a2, b2), d.wire_types[w]))
-    wires.sort(key=lambda item: item[0])
+    nodes, wires = _moved(d, order.__getitem__)
+    nodes.sort(key=lambda nd: nd.ident)
+    wires = sorted((tuple(sorted(w)), t) for w, t in zip(wires, d.wire_types))
     return Diagram(d.p, d.layer, nodes, [w for w, _ in wires],
-                   [t for _, t in wires], d.n_in, d.n_out)
+                   [t for _, t in wires])
 
 
 def to_text(d: Diagram) -> str:

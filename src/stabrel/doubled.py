@@ -144,14 +144,12 @@ def compose_all(*rels: GradedRelation) -> GradedRelation:
                           ar.compose_all(*(r.rel for r in rels)))
 
 
-def _flat_cols(types, wire_cols) -> List[int]:
-    """Columns of a boundary's flat coordinates, from each wire's columns
-    (z then x for a quantum wire)."""
-    out = [0] * boundary_width(types)
-    for slots, cols in zip(_layout_slots(types), wire_cols):
-        for pos, col in zip(slots, cols):
-            out[pos] = col
-    return out
+def _flat_cols(wire_cols) -> List[int]:
+    """Columns of a boundary's flat coordinates, from each wire's columns:
+    two (z then x) for a quantum wire, one for a classical wire."""
+    pairs = [cols for cols in wire_cols if len(cols) == 2]
+    return ([z for z, _ in pairs] + [x for _, x in pairs]
+            + [cols[0] for cols in wire_cols if len(cols) == 1])
 
 
 def tensor(r: GradedRelation, s: GradedRelation) -> GradedRelation:
@@ -172,8 +170,8 @@ def tensor_all(*rels: GradedRelation) -> GradedRelation:
     parts, i, o = [], 0, 0
     for r in rels:
         nd, nc = len(r.dom), len(r.cod)
-        parts.append((r.rel, _flat_cols(r.dom, ins[i:i + nd])
-                      + _flat_cols(r.cod, outs[o:o + nc])))
+        parts.append((r.rel, _flat_cols(ins[i:i + nd])
+                      + _flat_cols(outs[o:o + nc])))
         i, o = i + nd, o + nc
     rel = ar.conjoin(rels[0].p, wd + wc, parts, range(wd + wc), wd, wc)
     return GradedRelation(rels[0].p, dom, cod, rel)
@@ -201,7 +199,7 @@ def wire_permutation(p, types, perm) -> GradedRelation:
         raise ValueError("not a permutation: %r" % (perm,))
     out_types = tuple(types[j] for j in perm)
     in_slots = _layout_slots(types)
-    flat = _flat_cols(out_types, [in_slots[j] for j in perm])
+    flat = _flat_cols([in_slots[j] for j in perm])
     return GradedRelation(p, types, out_types, ar.permutation_relation(p, flat))
 
 

@@ -28,14 +28,18 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class Prime(int):
-    """A positive integer verified prime at construction: trial division by
-    the first 12 primes, then Miller-Rabin to them as bases, exact for every
-    64-bit input (bases 2 and 3 alone are exact below 1373653)."""
+    """A prime below 2^63, so that its residues fit in int64, verified at
+    construction: trial division by the first 12 primes, then Miller-Rabin
+    to them as bases, exact for every 64-bit input (bases 2 and 3 alone are
+    exact below 1373653)."""
 
     def __new__(cls, p):
         p = int(p)
         if p < 2:
             raise ValueError("p must be a prime >= 2, got %d" % p)
+        if p >= 2 ** 63:
+            raise ValueError("p = %d is too large: primes must be below 2^63"
+                             % p)
         for q in _SMALL_PRIMES:
             if q * q > p:
                 return super().__new__(cls, p)

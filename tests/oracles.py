@@ -152,6 +152,29 @@ def graded_rel_points(g):
     return rel_points(g.rel)
 
 
+def python_rref(rows, ncols, p):
+    """Reference RREF with Python ints: leftmost pivot, topmost row."""
+    a = [[v % p for v in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(a):
+            break
+        i = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [v * inv % p for v in a[r]]
+        for j in range(len(a)):
+            if j != r and a[j][c]:
+                f = a[j][c]
+                a[j] = [(x - f * y) % p for x, y in zip(a[j], a[r])]
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
 # ---------------------------------------------------------------------------
 # the conjunction of relations, kernel first and projection after
 

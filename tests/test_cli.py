@@ -177,6 +177,23 @@ def test_demo_teleport(capsys):
         assert (code, out) == (0, "IDENTITY: yes\n")
 
 
+def test_primes_from_2_to_the_63_exit_three(capsys):
+    """Residues are int64: 2^63 - 25, the largest prime below 2^63, is
+    answered, and the primes 2^63 + 29 and 2^64 + 13 are refused as input
+    errors, not answered "no" or crashed on."""
+    p = "9223372036854775783"
+    code, out, _ = run(capsys, "demo", "teleport", "--fixtures-dir", FIX,
+                       "--p", p)
+    assert (code, out) == (0, "IDENTITY: yes\n")
+    code, out, _ = run(capsys, "eval", fx("two_spiders.diagram"), "--p", p)
+    assert (code, out) == (0, "a1 = a2 = b1\na1 + a3 = b2 + b3\n")
+    for p in ("9223372036854775837", "18446744073709551629"):
+        want = "error: p = %s is too large: primes must be below 2^63\n" % p
+        for argv in (("demo", "teleport", "--fixtures-dir", FIX),
+                     ("eval", fx("two_spiders.diagram"))):
+            assert run(capsys, *argv, "--p", p) == (3, "", want)
+
+
 def test_demo_repetition3(capsys):
     code, out, _ = run(capsys, "demo", "repetition3", "--fixtures-dir", FIX)
     assert code == 0
@@ -283,6 +300,23 @@ def test_help_text_is_frozen(capsys, monkeypatch):
             cli.main(argv)
         assert info.value.code == 0
         assert capsys.readouterr().out == want, command
+
+
+def test_eval_output_is_frozen(capsys):
+    """`eval --print basis` and `--print equations` on every diagram
+    fixture at p = 2, 3, 5 and 7: each block of frozen_eval.txt is the
+    command, its exit code and its standard output."""
+    with open(os.path.join(os.path.dirname(__file__), "frozen_eval.txt")) as handle:
+        blocks = handle.read().split("$ stabrel ")[1:]
+    assert len(blocks) == 200
+    assert {block.split()[1] for block in blocks} == {
+        name for name in os.listdir(FIX) if name.endswith(".diagram")}
+    for block in blocks:
+        command, status, want = block.split("\n", 2)
+        argv = command.split()
+        argv[1] = fx(argv[1])
+        code, out, _ = run(capsys, *argv)
+        assert ("exit %d" % code, out) == (status, want), command
 
 
 def test_p2_refuses_non_css_codes(capsys, tmp_path):

@@ -278,14 +278,13 @@ def test_compose_refuses_wires_of_different_type():
                          "wiretype 0 classical\n")
     with pytest.raises(DiagramError, match="boundary wire types do not match"):
         dg.compose_diagrams(quantum, classical)
-    # built by hand, past the parser's checks: out0 ends two wires, and the
-    # boundary type is read off the classical one
-    twice = dg.Diagram(3, dg.LAYER_DOUBLED, [],
-                       [(("b", "in", 0), ("b", "out", 0)),
-                        (("b", "in", 1), ("b", "out", 0))],
-                       [db.QUANTUM, db.CLASSICAL], 2, 1)
-    with pytest.raises(DiagramError, match="glued wires disagree on type"):
-        dg.compose_diagrams(twice, classical)
+    # by hand: out0 ends two wires of different types, which the
+    # constructor refuses, so no diagram reaching compose can hold them
+    with pytest.raises(DiagramError, match="^endpoint out0 used twice$"):
+        dg.Diagram(3, dg.LAYER_DOUBLED, [],
+                   [(("b", "in", 0), ("b", "out", 0)),
+                    (("b", "in", 1), ("b", "out", 0))],
+                   [db.QUANTUM, db.CLASSICAL])
 
 
 def test_tensor_with_blank_diagram():
@@ -541,3 +540,137 @@ def test_self_loop_adds_both_ports_coefficients():
     spider = oracles.graded_rel_points(db.z_spider(5, 1, 2, (1, 0)))
     assert oracles.graded_rel_points(got) == {
         (v[2], v[4]) for v in spider if (v[3], v[5]) == (v[0], v[1])}
+
+
+def _b(side, k):
+    return ("b", side, k)
+
+
+def _n(ident, side, k):
+    return ("n", ident, side, k)
+
+
+def test_hand_built_diagrams_are_checked_when_built():
+    """The constructor refuses each wiring fault with the message `parse`
+    gives for it, without a line number."""
+    A, D = dg.LAYER_AFFINE, dg.LAYER_DOUBLED
+    spider = dg.Node(0, "z_spider", n_in=1, n_out=1)
+    measure = dg.Node(0, "measure_z")
+    through = [(_b("in", 0), _n(0, "in", 0)), (_n(0, "out", 0), _b("out", 0))]
+    cases = [
+        ("endpoint out0 used twice", A, [],
+         [(_b("in", 0), _b("out", 0)), (_b("in", 1), _b("out", 0))]),
+        ("dangling port n0.out0", A, [spider], through[:1]),
+        ("wire references missing node 4", A, [],
+         [(_b("in", 0), _n(4, "in", 0))]),
+        ("node 0 has no port out2", A, [spider],
+         through + [(_n(0, "out", 2), _b("out", 1))]),
+        ("boundary in-slots not contiguous from 0", A, [],
+         [(_b("in", 1), _b("out", 0))]),
+        ("boundary out-slots not contiguous from 0", D, [],
+         [(_b("in", 0), _b("out", 1))]),
+        ("wire joins an endpoint to itself", A, [],
+         [(_b("in", 0), _b("in", 0))]),
+    ]
+    for message, layer, nodes, wires in cases:
+        with pytest.raises(DiagramError, match="^%s$" % message):
+            dg.Diagram(3, layer, nodes, wires, [None] * len(wires))
+    typed = [
+        # measure_z's output is classical
+        ("wire 1 is quantum but port n0.out0 needs classical", D, [measure],
+         through, [None, db.QUANTUM]),
+        # every wire of the affine layer is classical
+        ("wiretype only applies to layer=doubled", A, [spider],
+         through, [None, db.QUANTUM]),
+        ("wiretype only applies to layer=doubled", A, [],
+         [(_b("in", 0), _b("out", 0))], [db.QUANTUM]),
+    ]
+    for message, layer, nodes, wires, types in typed:
+        with pytest.raises(DiagramError, match="^%s$" % message) as info:
+            dg.Diagram(3, layer, nodes, wires, types)
+        assert info.value.line is None
+
+
+def test_boundary_is_read_off_the_wiring():
+    """n_in, n_out, the boundary types and each endpoint's wire come from
+    the wire list; an unset type is the first generator port's, or else
+    the layer's kind."""
+    measure = dg.Node(7, "measure_x")
+    d = dg.Diagram(5, dg.LAYER_DOUBLED, [measure],
+                   [(_n(7, "out", 0), _b("out", 1)),
+                    (_b("in", 0), _n(7, "in", 0)),
+                    (_b("in", 1), _b("out", 0)),
+                    (_b("out", 2), _b("out", 3))],
+                   [None, None, db.CLASSICAL, None])
+    assert (d.n_in, d.n_out) == (2, 4)
+    assert d.wire_types == (db.CLASSICAL, db.QUANTUM, db.CLASSICAL,
+                            db.QUANTUM)
+    assert d.dom_types() == (db.QUANTUM, db.CLASSICAL)
+    assert d.cod_types() == (db.CLASSICAL, db.CLASSICAL, db.QUANTUM,
+                             db.QUANTUM)
+    assert d.ends == {_n(7, "out", 0): 0, _b("out", 1): 0,
+                      _b("in", 0): 1, _n(7, "in", 0): 1,
+                      _b("in", 1): 2, _b("out", 0): 2,
+                      _b("out", 2): 3, _b("out", 3): 3}
+    blank = dg.empty_diagram(3, dg.LAYER_AFFINE)
+    assert (blank.n_in, blank.n_out, blank.ends) == (0, 0, {})
+    bent = dg.parse("p=3; layer=affine\nwire out1 in0\nwire out0 in1\n")
+    assert (bent.n_in, bent.n_out) == (2, 2)
+    assert bent.wire_types == (db.CLASSICAL, db.CLASSICAL)
+
+
+def test_parse_adds_the_line_of_the_wire_or_node_at_fault():
+    with pytest.raises(DiagramError, match="^line 4: endpoint n0.in0 used twice$"):
+        dg.parse("p=3; layer=doubled\nnode 0 measure_z\n"
+                 "wire in0 n0.in0\nwire in1 n0.in0\nwire n0.out0 out0\n")
+    with pytest.raises(DiagramError, match="^line 3: dangling port n1.in1$"):
+        dg.parse("p=3; layer=affine\nnode 0 swap\n"
+                 "node 1 z_spider arity_in=2 arity_out=0\n"
+                 "wire in0 n0.in0\nwire in1 n0.in1\nwire n0.out0 n1.in0\n"
+                 "wire n0.out1 out0\n")
+    with pytest.raises(DiagramError,
+                       match="^line 6: wire 2 is classical but port "
+                             "n1.out0 needs quantum$"):
+        dg.parse("p=3; layer=doubled\nnode 0 measure_z\nnode 1 prep_z\n"
+                 "wire in0 n0.in0\nwire n0.out0 n1.in0\nwire n1.out0 out0\n"
+                 "wiretype 2 classical\n")
+
+
+def _spider_network(rng, p):
+    """Texts of a random network of affine z and x spiders and of its
+    doubled twin: the same wiring of classical spiders, every wire
+    declared classical."""
+    ports, affine, twin = [], [], []
+    for ident in range(rng.randint(1, 5)):
+        kind = rng.choice(("z_spider", "x_spider"))
+        n, m = rng.randrange(3), rng.randrange(3)
+        phase = " phase=%d" % rng.randrange(p) if kind == "x_spider" else ""
+        for layer, prefix in ((affine, ""), (twin, "classical_")):
+            layer.append("node %d %s%s%s arity_in=%d arity_out=%d"
+                         % (ident, prefix, kind, phase, n, m))
+        ports += ["n%d.in%d" % (ident, k) for k in range(n)]
+        ports += ["n%d.out%d" % (ident, k) for k in range(m)]
+    n_in, n_out = rng.randrange(3), rng.randrange(3)
+    n_out += (len(ports) + n_in + n_out) % 2
+    ends = (ports + ["in%d" % k for k in range(n_in)]
+            + ["out%d" % k for k in range(n_out)])
+    rng.shuffle(ends)
+    wires = ["wire %s %s" % pair for pair in zip(ends[::2], ends[1::2])]
+    affine = ["p=%d; layer=affine" % p] + affine + wires
+    twin = (["p=%d; layer=doubled" % p] + twin + wires
+            + ["wiretype %d classical" % w for w in range(len(wires))])
+    return "\n".join(affine) + "\n", "\n".join(twin) + "\n"
+
+
+def test_affine_networks_equal_their_classical_twins():
+    """The affine layer is the classical fragment of the doubled one: a
+    network of affine spiders evaluates to the flat relation of the same
+    network of classical spiders on classical wires."""
+    rng = random.Random(61)
+    for p in (2, 3, 5, 7, 2**61 - 1):
+        for _ in range(25):
+            affine, twin = _spider_network(rng, p)
+            a, t = dg.evaluate(dg.parse(affine)), dg.evaluate(dg.parse(twin))
+            assert t.dom == (db.CLASSICAL,) * a.dom, twin
+            assert t.cod == (db.CLASSICAL,) * a.cod, twin
+            assert a == t.rel, affine

@@ -19,7 +19,8 @@ from stabrel.linalg import (
     sum_spaces,
 )
 
-from oracles import all_subspaces, complement_points, span, vectors
+from oracles import (all_subspaces, complement_points, python_rref, span,
+                     vectors)
 
 
 def test_prime_accepts_primes():
@@ -61,6 +62,19 @@ def test_prime_is_fast_and_exact_on_64_bit_inputs(n, prime):
         with pytest.raises(ValueError, match="not prime"):
             Prime(n)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("n", [
+    2 ** 63,
+    9223372036854775837,   # 2^63 + 29, prime
+    18446744073709551629,  # 2^64 + 13, prime
+])
+def test_prime_refuses_2_to_the_63_and_above(n):
+    """Residues are int64, so a prime at or past 2^63 is refused by name
+    of the bound, while 2^63 - 25 (the largest prime below it) is taken."""
+    with pytest.raises(ValueError, match=r"must be below 2\^63"):
+        Prime(n)
+    assert Prime(9223372036854775783) == 9223372036854775783
 
 
 def test_matmul_mod_is_exact_past_int64():
@@ -234,29 +248,6 @@ def test_nullspace_zero_columns():
 # small primes, word-sized primes, the largest prime whose (p-1)^2
 # still fits in int64, and two primes past it (Python-int elimination)
 PROPERTY_PRIMES = (2, 3, 5, 65521, 2**31 - 1, 3037000493, 4294967311, 2**61 - 1)
-
-
-def python_rref(rows, ncols, p):
-    """Reference RREF with Python ints: leftmost pivot, topmost row."""
-    a = [[v % p for v in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(a):
-            break
-        i = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if i is None:
-            continue
-        a[r], a[i] = a[i], a[r]
-        inv = pow(a[r][c], -1, p)
-        a[r] = [v * inv % p for v in a[r]]
-        for j in range(len(a)):
-            if j != r and a[j][c]:
-                f = a[j][c]
-                a[j] = [(x - f * y) % p for x, y in zip(a[j], a[r])]
-        pivots.append(c)
-        r += 1
-    return a[:r], pivots
 
 
 @st.composite

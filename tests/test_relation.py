@@ -44,6 +44,7 @@ from oracles import (
     compose_points,
     converse_points,
     kernel_conjoin,
+    python_rref,
     rel_points,
     span,
     tensor_points,
@@ -455,6 +456,36 @@ def test_conjoin_edge_cases_match_kernel_then_project():
         assert np.array_equal(got.rep.basis, want.rep.basis), name
         assert got.is_empty == (name == "empty result"), name
     assert total(p, 1, 1).constraint_rows().shape[0] == 0
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 2**63 - 25])
+def test_conjoin_adds_repeated_columns_exactly(p):
+    """A part that lists a column twice adds its two coefficients there.
+    Past 2^62 the sum of two residues leaves int64, so each seeded case,
+    a relation on four columns conjoined on columns [0, 0, 1, 2], is
+    checked against the same system eliminated in Python ints: its
+    kernel over (x0, x1, x2, h), projected on (x1, x2, h)."""
+    rng = random.Random(p)
+    for _ in range(150):
+        rows = [[rng.randrange(p) for _ in range(4)]
+                for _ in range(rng.randint(1, 2))]
+        r = AffineRelation.from_constraints(
+            p, 2, 2, rows, [rng.randrange(p) for _ in rows])
+        got = conjoin(p, 3, [(r, [0, 0, 1, 2])], [1, 2], 1, 1)
+        system = [[c[0] + c[1], c[2], c[3], c[4]]
+                  for c in r.constraint_rows().tolist()]
+        red, pivots = python_rref(system, 4, p)
+        kernel = []
+        for f in (c for c in range(4) if c not in pivots):
+            v = [0] * 4
+            v[f] = 1
+            for row, c in zip(red, pivots):
+                v[c] = -row[f] % p
+            kernel.append(v[1:])
+        want, _ = python_rref(kernel, 3, p)
+        if not any(row[-1] for row in want):
+            want = []  # no point with h = 1: the empty relation
+        assert got.rep.basis.tolist() == want
 
 
 # -- composition laws at every prime -----------------------------------------
