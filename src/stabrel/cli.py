@@ -197,7 +197,7 @@ def cmd_dilate(args) -> int:
 
 def cmd_syndrome(args) -> int:
     code, _ = _load_code(args.code, args.p)
-    error = qec.parse_error(args.error, code.n)
+    error = qec.parse_error(args.error, code.n, code.p)
     d = qec.syndrome(code, error)
     print(",".join(str(int(v)) for v in d))
     return 0
@@ -208,7 +208,7 @@ def cmd_verify(args) -> int:
     with open(args.table) as handle:
         table = qec.parse_table_file(handle.read(), code.p, code.n, code.d)
     with open(args.errors) as handle:
-        errors = qec.parse_errors_file(handle.read(), code.n)
+        errors = qec.parse_errors_file(handle.read(), code.n, code.p)
     reports = qec.verify_correction(code, table, errors)
     for r in reports:
         line = "%s -> %s %s" % (

@@ -93,9 +93,10 @@ class Node:
 
 
 class Diagram:
-    """Immutable diagram, checked once when built: every node port and
-    boundary slot ends exactly one wire, each side's slots are 0..k-1,
-    and a wire at a generator port has that port's type.
+    """Immutable diagram, checked once when built: node ids are distinct,
+    each node's kind, arity and phase are allowed on its layer, every
+    node port and boundary slot ends exactly one wire, each side's slots
+    are 0..k-1, and a wire at a generator port has that port's type.
 
     A wire type given as None takes the type its first generator port
     pins, or else the layer's kind: classical on ``layer=affine``, which
@@ -113,7 +114,13 @@ class Diagram:
         self.layer = layer
         self.nodes = tuple(nodes)
         self.wires = tuple(wires)
-        by_id = {nd.ident: nd for nd in self.nodes}
+        by_id: Dict[int, Node] = {}
+        for nd in self.nodes:
+            if nd.ident in by_id:
+                raise DiagramError("duplicate node id %d" % nd.ident,
+                                   at=("node", nd.ident))
+            _check_node(layer, self.p, nd)
+            by_id[nd.ident] = nd
         self.ends: Dict[tuple, int] = {}
         slots = {"in": 0, "out": 0}
         for w, (a, b) in enumerate(self.wires):
@@ -273,29 +280,31 @@ NODE_SPECS = {
 
 
 def _check_node(layer, p, nd: Node, line=None):
+    """Refuse a node whose kind, arity or phase its layer does not allow."""
     kind, a, b = nd.kind, nd.phase[0], nd.phase[1]
+    at = ("node", nd.ident)
     spec = NODE_SPECS.get((layer, kind))
     if spec is None and not (layer == LAYER_DOUBLED and
                              kind.startswith("box:")):
         raise DiagramError("unknown %s-layer node kind %r" % (layer, kind),
-                           line)
+                           line, at)
     if nd.n_in < 0 or nd.n_out < 0:
-        raise DiagramError("negative arity on node %d" % nd.ident, line)
+        raise DiagramError("negative arity on node %d" % nd.ident, line, at)
     fixed = spec and spec.arity
     if fixed and (nd.n_in, nd.n_out) != fixed:
         raise DiagramError("%s is %d->%d, got %d->%d" %
                            (kind, fixed[0], fixed[1], nd.n_in, nd.n_out),
-                           line)
+                           line, at)
     if not (0 <= a < p and 0 <= b < p):
         raise DiagramError("phase %r out of range for p=%d" %
-                           (nd.phase, int(p)), line)
+                           (nd.phase, int(p)), line, at)
     rule = spec.phase if spec else "none"
     if rule == "none" and (a, b) != (0, 0):
-        raise DiagramError("%s takes no phase" % kind, line)
+        raise DiagramError("%s takes no phase" % kind, line, at)
     if rule in ("single", "invertible") and b != 0:
-        raise DiagramError("%s takes a single phase value" % kind, line)
+        raise DiagramError("%s takes a single phase value" % kind, line, at)
     if rule == "invertible" and a == 0:
-        raise DiagramError("%s coefficient must be invertible" % kind, line)
+        raise DiagramError("%s coefficient must be invertible" % kind, line, at)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +337,8 @@ def parse(text: str, p=None) -> Diagram:
     """Parse diagram text; raises DiagramError with a line number.
 
     `p` overrides the file header's prime (all phases must still be in
-    range for the overriding value).
+    range for the overriding value).  A node is checked as it is read,
+    so its fault is reported before any later line's.
     """
     override = None if p is None else Prime(p)
     p = None

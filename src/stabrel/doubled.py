@@ -29,7 +29,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import Prime, Subspace, mod_p
+from .linalg import Prime, mod_p
 from . import relation as ar
 from .relation import AffineRelation
 from .symplectic import GradedSubspace, SymplecticSpace
@@ -535,12 +535,7 @@ def state_subspace(s: GradedRelation) -> GradedSubspace:
     if s.dom:
         raise ValueError("expected a state (no inputs)")
     _, n = _require_all_quantum(s)
-    space = SymplecticSpace(s.p, n)
-    decomp = s.rel.shift_and_linear()
-    if decomp is None:
-        return GradedSubspace(space, empty=True)
-    pt, lin = decomp
-    return GradedSubspace(space, pt, Subspace(s.p, 2 * n, lin))
+    return GradedSubspace.from_state(SymplecticSpace(s.p, n), s.rel)
 
 
 def relation_subspace(r: GradedRelation) -> GradedSubspace:

@@ -8,8 +8,9 @@ basis g_1 .. g_{n-k} of L^omega.  The syndrome measurement is the
 relation of the circuit U ; (measure the first n-k wires, keep the
 rest) ; U^-1 with U the dilation matrix, followed by the change of basis
 to the declared generators.  It and the encoder are each built in
-closed form from one system of constraints, the code state from its
-stabilizer equations omega(g_i, v) = omega(g_i, a), and the syndrome
+closed form from one system of constraints.  The code state is the
+subspace S itself, which a code file gives as the constraints
+omega(g_i, v) = phase_i; its constraint rows give L^omega.  The syndrome
 is the classical marginal of the measured state; tests/oracles.py
 composes the circuits (for the syndrome, `wired_readout`) as the
 reference.  The measured outcome on wire j is omega(b_j, -) with
@@ -32,6 +33,8 @@ File formats (both plain text, `#` comments, blank lines ignored):
                  `s1,..,sd -> z1,..,zn|x1,..,xn`.
   subspace file  p= / n= assignments, an optional `shift z|x` line and
                  one basis row `z|x` per line.
+
+In every format, entries and phases of any size read as their residues.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 from . import doubled as db
 from . import relation as ar
 from . import symplectic as sy
-from .linalg import Subspace, matmul_mod, mod_p, nullspace_mod, rref_mod, solve_mod
+from .linalg import Subspace, matmul_mod, mod_p, rref_mod
 
 
 class StabilizerCode:
@@ -57,7 +60,7 @@ class StabilizerCode:
     """
 
     __slots__ = ("p", "n", "k", "subspace", "dilation", "syndrome_basis",
-                 "basis_change", "_measure", "_state")
+                 "basis_change", "_measure")
 
     def __init__(self, subspace: sy.GradedSubspace, dilation: sy.Dilation,
                  syndrome_basis: np.ndarray, basis_change: np.ndarray):
@@ -69,7 +72,6 @@ class StabilizerCode:
         self.syndrome_basis = syndrome_basis
         self.basis_change = basis_change
         self._measure = None
-        self._state = None
 
     @property
     def d(self) -> int:
@@ -141,14 +143,9 @@ def measurement(code: StabilizerCode) -> db.GradedRelation:
 
 def code_state(code: StabilizerCode) -> db.GradedRelation:
     """The code space as a state (the image of the maximally mixed
-    input): its stabilizer equations omega(g_i, v) = omega(g_i, a)."""
-    if code._state is None:
-        p, n = code.p, code.n
-        eqs = sy.omega_dual(p, code.syndrome_basis)
-        rel = ar.AffineRelation.from_constraints(
-            p, 0, 2 * n, eqs, matmul_mod(eqs, code.subspace.shift, p))
-        code._state = db.GradedRelation(p, (), db.quantum_wires(n), rel)
-    return code._state
+    input): the code subspace's own stored state."""
+    return db.GradedRelation(code.p, (), db.quantum_wires(code.n),
+                             code.subspace.state)
 
 
 def _classical_readout(measured: db.GradedRelation, n: int) -> np.ndarray:
@@ -370,8 +367,9 @@ def _parse_ints(text: str, no: int) -> List[int]:
                          % (no, text))
 
 
-def _parse_row(text: str, n: int, no: int, allow_phase: bool = False):
-    """A `z|x` row of length n each, optionally with a trailing `|phase`."""
+def _parse_row(text: str, n: int, no: int, p, allow_phase: bool = False):
+    """A `z|x` row of length n each, optionally with a trailing `|phase`,
+    reduced mod p as Python ints."""
     parts = [part.strip() for part in text.split("|")]
     if len(parts) == 2:
         phase = 0
@@ -379,7 +377,7 @@ def _parse_row(text: str, n: int, no: int, allow_phase: bool = False):
         phase = _parse_ints(parts[2], no)
         if len(phase) != 1:
             raise ValueError("line %d: phase must be a single value" % no)
-        phase = phase[0]
+        phase = phase[0] % p
     else:
         raise ValueError("line %d: expected z|x%s, got %r"
                          % (no, "[|phase]" if allow_phase else "", text))
@@ -387,7 +385,7 @@ def _parse_row(text: str, n: int, no: int, allow_phase: bool = False):
     xvec = _parse_ints(parts[1], no)
     if len(zvec) != n or len(xvec) != n:
         raise ValueError("line %d: expected %d entries per block" % (no, n))
-    return zvec + xvec, phase
+    return [v % p for v in zvec + xvec], phase
 
 
 def _parse_header(text: str, names, what: str, p):
@@ -435,28 +433,23 @@ def parse_code_file(text: str, p=None) -> Tuple[StabilizerCode,
     phases: List[int] = []
     for no, line in rest:
         if "->" not in line:
-            row, phase = _parse_row(line, n, no, allow_phase=True)
+            row, phase = _parse_row(line, n, no, p, allow_phase=True)
             gen_rows.append(row)
             phases.append(phase)
     if len(gen_rows) != n - k:
         raise ValueError("expected %d generator rows, got %d"
                          % (n - k, len(gen_rows)))
     gens = mod_p(gen_rows, p).reshape(-1, 2 * n)
-    if len(gen_rows):
-        red, _ = rref_mod(gens, p)
-        if red.shape[0] != gens.shape[0]:
-            raise ValueError("generator rows are linearly dependent")
-        # the subspace stabilized by the rows: omega(g_i, v) = phase_i
-        coeffs = sy.omega_dual(p, gens)
-        linear = Subspace(p, 2 * n, nullspace_mod(coeffs, p))
-        shift = solve_mod(coeffs, phases, p)
-        if shift is None:
-            raise ValueError("the generator phases are inconsistent")
-    else:
-        linear = Subspace.full(p, 2 * n)
-        shift = None
-    subspace = sy.GradedSubspace(space, shift, linear)
-    code = code_from_subspace(subspace, generators=gens)
+    red, _ = rref_mod(gens, p)
+    if red.shape[0] != gens.shape[0]:
+        raise ValueError("generator rows are linearly dependent")
+    # the state stabilized by the rows: omega(g_i, v) = phase_i
+    state = ar.AffineRelation.from_constraints(
+        p, 0, 2 * n, sy.omega_dual(p, gens), phases)
+    if state.is_empty:
+        raise ValueError("the generator phases are inconsistent")
+    code = code_from_subspace(sy.GradedSubspace.from_state(space, state),
+                              generators=gens)
     table = parse_table_file(text, p, n, n - k)
     return code, (table if table.entries else None)
 
@@ -478,10 +471,10 @@ def parse_subspace_file(text: str, p=None) -> sy.GradedSubspace:
         if line.startswith("shift"):
             if shift is not None:
                 raise ValueError("line %d: duplicate shift" % no)
-            row, _ = _parse_row(line[len("shift"):].strip(), n, no)
+            row, _ = _parse_row(line[len("shift"):].strip(), n, no, p)
             shift = row
         else:
-            row, _ = _parse_row(line, n, no)
+            row, _ = _parse_row(line, n, no, p)
             rows.append(row)
     linear = Subspace(p, 2 * n, mod_p(rows, p).reshape(-1, 2 * n))
     return sy.GradedSubspace(space, shift, linear)
@@ -504,25 +497,25 @@ def parse_table_file(text: str, p, n: int, d: int) -> CorrectionTable:
             continue
         left, _, right = line.partition("->")
         key = tuple(_parse_ints(left.strip(), no))
-        row, _ = _parse_row(right.strip(), n, no)
+        row, _ = _parse_row(right.strip(), n, no, p)
         if key in entries:
             raise ValueError("line %d: duplicate syndrome %r" % (no, key))
         entries[key] = np.asarray(row, dtype=np.int64)
     return CorrectionTable(p, n, d, entries)
 
 
-def parse_errors_file(text: str, n: int) -> List[np.ndarray]:
-    """Parse an error list: one `z|x` row per line."""
+def parse_errors_file(text: str, n: int, p) -> List[np.ndarray]:
+    """Parse an error list: one `z|x` row per line, reduced mod p."""
     out = []
     for no, line in _strip_lines(text):
-        row, _ = _parse_row(line, n, no)
+        row, _ = _parse_row(line, n, no, p)
         out.append(np.asarray(row, dtype=np.int64))
     return out
 
 
-def parse_error(text: str, n: int) -> np.ndarray:
-    """A single `z|x` error vector."""
-    row, _ = _parse_row(text.strip(), n, 0)
+def parse_error(text: str, n: int, p) -> np.ndarray:
+    """A single `z|x` error vector, reduced mod p."""
+    row, _ = _parse_row(text.strip(), n, 0, p)
     return np.asarray(row, dtype=np.int64)
 
 

@@ -114,15 +114,19 @@ class AffineRelation:
                 return pt.astype(np.int64, copy=False)
         raise AssertionError("non-empty relation without an h != 0 row")
 
+    def linear_part(self) -> Subspace:
+        """The directions {v : (v, 0) in rep}: each stored row less its
+        h-multiple of a point (the zero subspace when empty)."""
+        pt, rows = self.point(), self.rep.basis
+        if pt is not None:
+            hom_pt = _widen(np.append(pt, 1), self.p)
+            rows = (rows - np.outer(rows[:, -1], hom_pt)) % self.p
+        return Subspace(self.p, self.dom + self.cod, rows[:, :-1])
+
     def shift_and_linear(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Decompose into (particular point, linear-part basis rows)."""
         pt = self.point()
-        if pt is None:
-            return None
-        hom_pt = _widen(np.append(pt, 1), self.p)
-        rows = (self.rep.basis - np.outer(self.rep.basis[:, -1], hom_pt)) % self.p
-        lin = Subspace(self.p, self.dom + self.cod, rows[:, :-1])
-        return pt, lin.basis
+        return None if pt is None else (pt, self.linear_part().basis)
 
     def __eq__(self, other):
         return (

@@ -3,9 +3,11 @@
 Vectors are rows (z_1 .. z_n, x_1 .. x_n) and the form is
 omega(v, w) = sum_i v_zi w_xi - v_xi w_zi, i.e. the block matrix
 [[0, I], [-I, 0]], and omega_dual(p, g) = (-x | z) makes it a dot
-product: omega(g, v) = omega_dual(g) . v.  Affine subspaces L + a are
-graded by this structure; classification compares the linear part L
-with its omega-complement.
+product: omega(g, v) = omega_dual(g) . v.  An affine subspace L + a is
+its state, the 0 -> 2n relation with those points; a full-rank
+stabilizer tableau is a basis of it.  The state's constraint rows c
+are the stabilizer equations, so L^omega is the span of omega_dual(c)
+with no elimination, and classification compares L with it.
 
 Every coisotropic subspace of dimension n + m is the image of a
 Lagrangian isometry m -> n.  dilation() constructs that isometry
@@ -24,7 +26,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .linalg import Prime, Subspace, matmul_mod, mod_p, nullspace_mod, rref_mod
+from .linalg import Prime, Subspace, matmul_mod, mod_p, rref_mod
 from .relation import AffineRelation
 
 
@@ -73,60 +75,81 @@ def omega(space: SymplecticSpace, v, w) -> int:
 
 
 class GradedSubspace:
-    """An affine subspace shift + linear of F_p^{2n}, possibly empty.
-
-    The shift is stored as the canonical coset representative modulo the
-    linear part, so equality of objects is equality of subspaces.
+    """An affine subspace L + a of F_p^{2n}, possibly empty, stored as its
+    state: the 0 -> 2n relation with the same points, so that equal
+    states are equal subspaces.  Every other attribute is read off it.
     """
 
-    __slots__ = ("space", "shift", "linear", "empty")
+    __slots__ = ("space", "state", "_linear")
 
     def __init__(self, space: SymplecticSpace, shift=None, linear=None,
                  empty: bool = False):
-        self.space = space
-        self.empty = bool(empty)
         width = 2 * space.n
-        if self.empty:
-            self.shift = np.zeros(width, dtype=np.int64)
-            self.linear = Subspace.zero(space.p, width)
-            return
         if linear is None:
             linear = Subspace.zero(space.p, width)
         if linear.ambient_dim != width:
             raise ValueError("linear part has ambient %d, expected %d"
                              % (linear.ambient_dim, width))
-        if shift is None:
-            shift = np.zeros(width, dtype=np.int64)
-        shift = mod_p(shift, space.p).reshape(-1)
+        shift = mod_p([0] * width if shift is None else shift,
+                      space.p).reshape(-1)
         if shift.shape[0] != width:
             raise ValueError("shift has length %d, expected %d"
                              % (shift.shape[0], width))
-        self.linear = linear
-        self.shift = linear.reduce(shift)
+        # the homogenized rows (l, 0) over L's basis and (a, 1)
+        rows = np.zeros((linear.dim + 1, width + 1), dtype=np.int64)
+        rows[:-1, :-1] = linear.basis
+        rows[-1] = np.append(shift, 1)
+        self.space, self._linear = space, None if empty else linear
+        self.state = AffineRelation.from_rows(space.p, 0, width,
+                                              rows[:0] if empty else rows)
+
+    @classmethod
+    def from_state(cls, space: SymplecticSpace,
+                   rel: AffineRelation) -> "GradedSubspace":
+        """The subspace whose state is the 0 -> 2n relation `rel`."""
+        if (rel.p, rel.dom, rel.cod) != (space.p, 0, 2 * space.n):
+            raise ValueError("expected a 0 -> %d state over F_%d"
+                             % (2 * space.n, space.p))
+        self = cls.__new__(cls)
+        self.space, self.state, self._linear = space, rel, None
+        return self
 
     @classmethod
     def from_rows(cls, space, rows, shift=None) -> "GradedSubspace":
         return cls(space, shift, Subspace(space.p, 2 * space.n, rows))
 
     @property
+    def linear(self) -> Subspace:
+        """The linear part L: the constructor's, or read off the state."""
+        if self._linear is None:
+            self._linear = self.state.linear_part()
+        return self._linear
+
+    @property
+    def shift(self) -> np.ndarray:
+        """The canonical coset representative of the state's point mod L."""
+        point = self.state.point()
+        return self.linear.reduce([0] * 2 * self.space.n if point is None
+                                  else point)
+
+    @property
+    def empty(self) -> bool:
+        return self.state.is_empty
+
+    @property
     def dim(self) -> int:
         return self.linear.dim
 
     def contains(self, v) -> bool:
-        if self.empty:
-            return False
         v = mod_p(v, self.space.p).reshape(-1)
-        return self.linear.contains((v - self.shift) % self.space.p)
+        return self.state.rep.contains(np.append(v, 1))
 
     def __eq__(self, other):
-        if not isinstance(other, GradedSubspace) or self.space != other.space:
-            return False
-        if self.empty or other.empty:
-            return self.empty == other.empty
-        return np.array_equal(self.shift, other.shift) and self.linear == other.linear
+        return (isinstance(other, GradedSubspace)
+                and self.space == other.space and self.state == other.state)
 
     def __hash__(self):
-        return hash((self.space, self.empty, self.shift.tobytes(), self.linear))
+        return hash((self.space, self.state))
 
     def __repr__(self):
         if self.empty:
@@ -135,17 +158,17 @@ class GradedSubspace:
             self.space, self.shift.tolist(), self.dim)
 
 
-def _complement_subspace(space: SymplecticSpace, linear: Subspace) -> Subspace:
-    rows = omega_dual(space.p, linear.basis)
-    return Subspace(space.p, 2 * space.n, nullspace_mod(rows, space.p))
+def _complement(v: GradedSubspace) -> Subspace:
+    """L^omega of a non-empty v, read off its state's constraint rows
+    (c_z | c_x | d): L is {w : c . w = 0}, and omega(u, w) = c . w for
+    u = (c_x | -c_z) = -omega_dual(c), so these u span L^omega."""
+    c = v.state.constraint_rows()[:, :-1]
+    return Subspace(v.space.p, 2 * v.space.n, omega_dual(v.space.p, c))
 
 
 def symp_complement(v: GradedSubspace) -> GradedSubspace:
     """Complement of the linear part under omega; the shift carries over."""
-    if v.empty:
-        return GradedSubspace(v.space, empty=True)
-    return GradedSubspace(v.space, v.shift,
-                          _complement_subspace(v.space, v.linear))
+    return v if v.empty else GradedSubspace(v.space, v.shift, _complement(v))
 
 
 def classify(v: GradedSubspace) -> str:
@@ -157,7 +180,7 @@ def _classify(v: GradedSubspace) -> Tuple[str, Optional[Subspace]]:
     """classify(v), and the L^omega it compared with (None when empty)."""
     if v.empty:
         return "none", None
-    comp = _complement_subspace(v.space, v.linear)
+    comp = _complement(v)
     iso = comp.contains_space(v.linear)
     coiso = v.linear.contains_space(comp)
     if iso and coiso:
@@ -167,29 +190,6 @@ def _classify(v: GradedSubspace) -> Tuple[str, Optional[Subspace]]:
     if coiso:
         return "coisotropic", comp
     return "none", comp
-
-
-def symplectomorphism_graph(space: SymplecticSpace, mat) -> GradedSubspace:
-    """The graph {(v, M v)} as a subspace of the doubled space on 2n qudits.
-
-    The doubled space carries omega on the first copy minus omega on the
-    second; concretely (v, w) embeds as (v_z, w_z, v_x, -w_x).
-    """
-    p, n = space.p, space.n
-    mat = mod_p(mat, p)
-    if mat.shape != (2 * n, 2 * n):
-        raise ValueError("expected a %dx%d matrix" % (2 * n, 2 * n))
-    rows = []
-    for i in range(2 * n):
-        v = np.zeros(2 * n, dtype=np.int64)
-        v[i] = 1
-        w = mat[:, i] % p
-        rows.append(np.concatenate([v[:n], w[:n], (-v[n:]) % p, w[n:]]))
-    # embedding (v_z, w_z, -v_x, w_x) differs from the docstring's by a
-    # global sign flip on the first copy's x block, which is itself a
-    # symplectomorphism of the doubled space; classification agrees.
-    big = SymplecticSpace(p, 2 * n)
-    return GradedSubspace.from_rows(big, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +381,6 @@ def dilation(s: GradedSubspace) -> Dilation:
     syndrome_basis = inv[:, :d].T.copy()
     encoder = _build_encoder(s, u, d, m)
     return Dilation(s, m, d, gates, u, inv, syndrome_basis, encoder)
-
-
-def stinespring_dilate(s: GradedSubspace):
-    """The Lagrangian isometry m -> n whose image is s."""
-    return dilation(s).encoder
 
 
 def _build_encoder(s: GradedSubspace, mat: np.ndarray, d: int, m: int):

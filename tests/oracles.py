@@ -1,13 +1,16 @@
 """Brute-force reference semantics for the test suite.
 
-Everything but the last seven sections enumerates points with plain
+Everything but the last eight sections enumerates points with plain
 Python integer arithmetic.  None of it calls the library's elimination
 routines, so these functions can serve as independent oracles for them.
 
-The last seven sections derive what `stabrel.relation`, `stabrel.doubled`
-and `stabrel.qec` build in one elimination or in closed form from a
-different route.  The conjunction of relations is one kernel over every
-column, then the RREF of the kept columns.  A chain of compositions or
+The last eight sections derive what `stabrel.relation`,
+`stabrel.symplectic`, `stabrel.doubled` and `stabrel.qec` build in one
+elimination or in closed form from a different route.  The
+omega-complement L^omega is the kernel of the omega-duals of a basis of
+L, where the library reads it off the state's constraint rows.  The
+conjunction of relations is one kernel over every column, then the RREF
+of the kept columns.  A chain of compositions or
 tensors is the pairwise fold of the binary form.  The graded tensor is
 the flat `relation.tensor` with its columns permuted into the merged
 boundary layout.  The doubled generators
@@ -21,6 +24,7 @@ states, measurements and discards.  Correction is verified per error
 from the state's syndrome, then the whole five-stage branch.  The affine
 fit of a correction table solves for one error coordinate at a time."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -117,8 +121,10 @@ def subset_points(a_pts, b_pts):
     return a_pts <= b_pts
 
 
+@functools.lru_cache(maxsize=None)
 def all_subspaces(p, n):
-    """Every subspace of F_p^n, each as a frozenset of point tuples.
+    """Every subspace of F_p^n, each as a frozenset of point tuples, in a
+    frozenset computed once per session and shared by every caller.
 
     Enumerates all n-row generator matrices; fine for p=2, n=4.
     """
@@ -127,7 +133,7 @@ def all_subspaces(p, n):
     for rows in itertools.product(vs, repeat=n):
         s = frozenset(span(p, rows))
         seen.add(s)
-    return seen
+    return frozenset(seen)
 
 
 def omega_product(v, w, p, n):
@@ -173,6 +179,15 @@ def python_rref(rows, ncols, p):
         pivots.append(c)
         r += 1
     return a[:r], pivots
+
+
+# ---------------------------------------------------------------------------
+# the omega-complement, as a kernel
+
+
+def _complement_subspace(space: sy.SymplecticSpace, linear: Subspace) -> Subspace:
+    rows = sy.omega_dual(space.p, linear.basis)
+    return Subspace(space.p, 2 * space.n, nullspace_mod(rows, space.p))
 
 
 # ---------------------------------------------------------------------------

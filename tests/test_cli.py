@@ -345,6 +345,36 @@ def test_p2_refuses_non_css_codes(capsys, tmp_path):
     assert (code, out) == (0, "dilated: n=3 m=1 d=2 gates=2\n")
 
 
+def test_inputs_past_int64_answer_as_their_residues(capsys, tmp_path):
+    """Code, table, subspace and error entries are reduced mod p as
+    Python ints before any 64-bit array is made: +-(2^63 + 1) in an
+    error, a generator row, a phase, a table entry or a subspace shift
+    answers as its residue does."""
+    code, out, _ = run(capsys, "syndrome", fx("repetition3.code"),
+                       "0,0,0|0,9223372036854775809,0")
+    assert (code, out) == (0, "1,0\n")
+
+    def answers(error=1, generator=2, phase=3, entry=1, shift=2):
+        code_file, table_file = tmp_path / "c.code", tmp_path / "t.code"
+        errors_file, sub_file = tmp_path / "e.errors", tmp_path / "s.subspace"
+        code_file.write_text("p=5\nn=2\nk=1\n1,%d|0,0|%d\n"
+                             % (generator, phase))
+        table_file.write_text("1 -> 0,0|%d,0\n4 -> 0,0|0,%d\n"
+                              % (entry, entry))
+        errors_file.write_text("0,0|%d,0\n0,%d|0,0\n" % (error, error))
+        sub_file.write_text("p=5\nn=1\nshift 0|%d\n1|0\n" % shift)
+        got = [run(capsys, "syndrome", str(code_file), "0,0|%d,0" % error),
+               run(capsys, "verify", str(code_file), str(table_file),
+                   str(errors_file)),
+               run(capsys, "dilate", str(sub_file), str(tmp_path / "s.dil"))]
+        assert all(c != 3 for c, _, _ in got), got
+        return got, (tmp_path / "s.dil").read_text()
+
+    for name in ("error", "generator", "phase", "entry", "shift"):
+        for big in (2**63 + 1, -(2**63 + 1)):
+            assert answers(**{name: big}) == answers(**{name: big % 5}), name
+
+
 def test_code_file_size_checks(capsys, tmp_path):
     empty = tmp_path / "n0.code"
     empty.write_text("p=3\nn=0\nk=0\n")

@@ -591,6 +591,47 @@ def test_hand_built_diagrams_are_checked_when_built():
         assert info.value.line is None
 
 
+def test_hand_built_nodes_are_checked_when_built():
+    """The constructor refuses a repeated node id and a node its layer
+    does not allow, with the message `parse` gives at the node's line."""
+    D = dg.LAYER_DOUBLED
+    spider = dg.Node(0, "z_spider", n_in=1, n_out=1)
+    through = [(_b("in", 0), _n(0, "in", 0)), (_n(0, "out", 0), _b("out", 0))]
+    cases = [
+        ("duplicate node id 0", [spider, dg.Node(0, "measure_z")], through,
+         "node 0 z_spider\nnode 0 measure_z\n"),
+        ("unknown doubled-layer node kind 'warp'", [dg.Node(0, "warp")],
+         through, "node 0 warp\n"),
+        ("measure_z is 1->1, got 2->1",
+         [dg.Node(0, "measure_z", n_in=2)], through,
+         "node 0 measure_z arity_in=2\n"),
+        ("phase \\(3, 0\\) out of range for p=3",
+         [dg.Node(0, "z_spider", (3, 0))], through,
+         "node 0 z_spider phase=3,0\n"),
+        ("measure_z takes no phase", [dg.Node(0, "measure_z", (1, 0))],
+         through, "node 0 measure_z phase=1\n"),
+    ]
+    wire_text = "wire in0 n0.in0\nwire n0.out0 out0\n"
+    for message, nodes, wires, node_text in cases:
+        with pytest.raises(DiagramError, match="^%s$" % message) as info:
+            dg.Diagram(3, D, nodes, wires, [None] * len(wires))
+        assert info.value.at == ("node", 0) and info.value.line is None
+        line = node_text.count("\n") + 1
+        with pytest.raises(DiagramError,
+                           match="^line %d: %s$" % (line, message)):
+            dg.parse("p=3; layer=doubled\n" + node_text + wire_text)
+    # parse checks a node as it reads it: the first faulty line is named
+    for text, message in [
+            ("node 0 warp\nnode 0 z_spider\n",
+             "line 2: unknown doubled-layer node kind 'warp'"),
+            ("node 0 z_spider\nnode 0 measure_z\nnode 0 x_spider\n",
+             "line 3: duplicate node id 0"),
+            ("node 0 warp\nbogus\n",
+             "line 2: unknown doubled-layer node kind 'warp'")]:
+        with pytest.raises(DiagramError, match="^%s$" % message):
+            dg.parse("p=3; layer=doubled\n" + text + wire_text)
+
+
 def test_boundary_is_read_off_the_wiring():
     """n_in, n_out, the boundary types and each endpoint's wire come from
     the wire list; an unset type is the first generator port's, or else

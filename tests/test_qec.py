@@ -438,6 +438,18 @@ def test_code_state_is_the_encoders_image(family):
             db.total_state(code.p, code.k), code.encoder), code
 
 
+def test_code_state_is_the_stored_state():
+    """code_state wraps the code subspace's own state, built once when
+    the code file is read."""
+    rng = random.Random(43)
+    codes = [rep_code()[0]]
+    codes.append(code_from_subspace(random_coisotropic(rng, 3, 3)))
+    codes.append(code_from_subspace(*random_code(rng, 2**61 - 1, 3, 2)))
+    for code in codes:
+        assert code_state(code).rel is code.subspace.state
+        assert code_state(code).cod == db.quantum_wires(code.n)
+
+
 def test_wide_prime_syndromes_match_the_form():
     """At primes where (p-1)^2 times a short sum leaves int64, the
     syndrome of a dense error is still omega(g_i, e) in Python ints, on
@@ -485,11 +497,11 @@ def test_verify_correction_matches_the_stepwise_replay():
 
 def test_errors_file_and_weight():
     text = "# weight-one shifts\n0,0,0|1,0,0\n0,0,0|0,1,0\n1,0,1|0,0,1\n"
-    errors = parse_errors_file(text, 3)
+    errors = parse_errors_file(text, 3, 3)
     assert len(errors) == 3
     assert weight(errors[0], 3) == 1
     assert weight(errors[2], 3) == 2
     assert weight([0, 1, 0, 0, 1, 0], 3) == 1
     assert weight(np.zeros(6, dtype=np.int64), 3) == 0
     with pytest.raises(ValueError, match="line 3"):
-        parse_errors_file("0,0|0,0\n\n1,0|0\n", 2)
+        parse_errors_file("0,0|0,0\n\n1,0|0\n", 2, 3)

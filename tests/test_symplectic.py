@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from stabrel import doubled as db
-from stabrel import qec
+from stabrel import linalg, qec
+from stabrel import relation as ar
+from stabrel import symplectic as sy
 from stabrel.linalg import Subspace
 from stabrel.symplectic import (
     Dilation,
@@ -17,13 +19,12 @@ from stabrel.symplectic import (
     gates_to_matrix,
     omega,
     omega_dual,
-    stinespring_dilate,
     symp_complement,
-    symplectomorphism_graph,
 )
 
 from gen import random_code, random_coisotropic, random_isotropic
-from oracles import all_subspaces, omega_product, symp_complement_points, vectors
+from oracles import (_complement_subspace, all_subspaces, omega_product,
+                     symp_complement_points, vectors)
 
 
 def rep_code_space():
@@ -177,6 +178,95 @@ def test_graded_subspace_canonical_shift():
     assert a.contains([2, 1]) and not a.contains([0, 2])
 
 
+COMPLEMENT_PRIMES = (2, 3, 5, 7, 2**31 - 1, 2**61 - 1, 2**63 - 25)
+
+
+def _seeded_subspaces(rng, p):
+    """Random, shifted, zero, full and empty subspaces at p."""
+    out = []
+    for n in (1, 2, 3):
+        sp = SymplecticSpace(p, n)
+        for _ in range(3):
+            rows = [[rng.randrange(p) for _ in range(2 * n)]
+                    for _ in range(rng.randrange(2 * n + 1))]
+            shift = [rng.randrange(p) for _ in range(2 * n)]
+            out.append(GradedSubspace.from_rows(sp, rows))
+            out.append(GradedSubspace.from_rows(sp, rows, shift))
+        out.append(GradedSubspace(sp))
+        out.append(GradedSubspace(sp, linear=Subspace.full(p, 2 * n)))
+        out.append(GradedSubspace(sp, empty=True))
+    return out
+
+
+@pytest.mark.parametrize("p", COMPLEMENT_PRIMES)
+def test_complement_from_constraint_rows_matches_the_kernel(p):
+    """L^omega read off the state's constraint rows equals the kernel of
+    the omega-duals of a basis of L, for symp_complement and for the
+    L^omega that _classify compares with."""
+    rng = random.Random(p % 1000)
+    for s in _seeded_subspaces(rng, p):
+        kind, comp = sy._classify(s)
+        if s.empty:
+            assert (kind, comp) == ("none", None)
+            assert symp_complement(s) == GradedSubspace(s.space, empty=True)
+            continue
+        want = _complement_subspace(s.space, s.linear)
+        assert comp == want, s
+        got = symp_complement(s)
+        assert got.linear == want and got == GradedSubspace(
+            s.space, s.shift, want), s
+
+
+def test_classify_makes_no_nullspace_call(monkeypatch):
+    rng = random.Random(37)
+    spaces = [random_coisotropic(rng, p, n) for p in (2, 3, 5)
+              for n in (1, 2, 3, 4)]
+    spaces += [random_code(rng, p, n, d)[0] for p in (2**61 - 1, 2**63 - 25)
+               for n, d in ((1, 1), (3, 2), (4, 0))]
+    spaces += [random_isotropic(rng, 3, 3), GradedSubspace(
+        SymplecticSpace(5, 2), linear=Subspace.full(5, 4))]
+    calls, real = [], linalg.nullspace_mod
+
+    def counted(mat, p):
+        calls.append(p)
+        return real(mat, p)
+
+    for module in (linalg, ar, sy, db, qec):
+        if hasattr(module, "nullspace_mod"):
+            monkeypatch.setattr(module, "nullspace_mod", counted)
+    kinds = [classify(s) for s in spaces]
+    assert calls == []
+    assert set(kinds) <= {"coisotropic", "lagrangian", "isotropic"}
+
+
+def test_from_state_is_the_constructor_on_its_state():
+    """GradedSubspace(space, shift, linear) is the subspace whose state
+    it stores; an unreduced shift comes back as the canonical coset
+    representative."""
+    rng = random.Random(41)
+    for p in (2, 5, 2**61 - 1):
+        for _ in range(20):
+            n = rng.randrange(1, 4)
+            sp = SymplecticSpace(p, n)
+            lin = Subspace(p, 2 * n, [[rng.randrange(p) for _ in range(2 * n)]
+                                      for _ in range(rng.randrange(2 * n))])
+            a = [rng.randrange(p) for _ in range(2 * n)]
+            # a moved within its coset, some entries shifted below 0
+            moved = a
+            for row in lin.basis:
+                k = rng.randrange(p)
+                moved = [x + k * int(v) for x, v in zip(moved, row)]
+            unreduced = [x % p - p * rng.randrange(2) for x in moved]
+            g = GradedSubspace(sp, unreduced, lin)
+            h = GradedSubspace.from_state(sp, g.state)
+            assert g == h and hash(g) == hash(h)
+            assert h.linear == lin and h.dim == lin.dim and not h.empty
+            assert h.shift.tolist() == lin.reduce(a).tolist()
+            assert g.shift.tolist() == h.shift.tolist()
+    with pytest.raises(ValueError, match="0 -> 4 state"):
+        GradedSubspace.from_state(SymplecticSpace(3, 2), ar.total(3, 0, 2))
+
+
 def test_gate_matrices_are_symplectic():
     rng = random.Random(19)
     for _ in range(200):
@@ -230,7 +320,7 @@ def test_symplectomorphism_graph_is_lagrangian():
             else:
                 gates.append(Gate("fourier", (rng.randrange(n),)))
         m = gates_to_matrix(sp, gates)
-        assert classify(symplectomorphism_graph(sp, m)) == "lagrangian"
+        assert db.classify_relation(db.symplectomorphism_relation(p, m)) == "lagrangian"
 
 
 def test_dilation_repetition_code():
@@ -290,7 +380,6 @@ def test_dilation_property_suite():
             assert dil.syndrome_basis.shape == (dil.d, 2 * n)
             for b in dil.syndrome_basis:
                 assert comp.linear.contains(b)
-            assert stinespring_dilate(s) == enc
 
 
 def test_dilation_gate_route_matches_matrix():
