@@ -21,6 +21,7 @@ import argparse
 import functools
 import itertools
 import os
+import re
 import sys
 from typing import List
 
@@ -317,6 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = add("syndrome", "syndrome of a z|x error under a code file")
     cmd.add_argument("code")
     cmd.add_argument("error")
+    # argparse reads plain negative numbers as arguments, not -1,0|0,1
+    cmd._negative_number_matcher = re.compile(r"-\.?\d.*")
 
     cmd = add("verify",
               "verify a correction table against an error file; an empty "

@@ -38,15 +38,14 @@ Endpoints are ``in<k>``/``out<k>`` (boundary slots) or ``n<id>.in<k>``/
 ``n<id>.out<k>`` (node ports).  ``wiretype <k> <quantum|classical>``
 declares the type of the k-th ``wire`` statement on ``layer=doubled``;
 a wire whose type no node port forces takes the layer's kind: classical
-on ``layer=affine``, quantum on ``layer=doubled``.  Boxes
-(``box:<name>``) reference named sub-diagrams supplied to `evaluate`
-and must declare their arities in the file.
+on ``layer=affine``, quantum on ``layer=doubled``.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
+from itertools import accumulate, count
 from typing import Dict, List, Tuple
 
 from . import doubled as db
@@ -143,13 +142,17 @@ class Diagram:
                 if not 0 <= k < (nd.n_in if side == "in" else nd.n_out):
                     raise DiagramError("node %d has no port %s%d"
                                        % (ident, side, k), at=("wire", w))
+        # the first unwired port of a side, found without listing them all
         for nd in self.nodes:
-            for ep in _ports(nd):
-                if ep not in self.ends:
-                    raise DiagramError("dangling port %s" % _ep_str(ep),
+            for side, n in (("in", nd.n_in), ("out", nd.n_out)):
+                k = next(k for k in count() if ("n", nd.ident, side, k)
+                         not in self.ends)
+                if k < n:
+                    raise DiagramError("dangling port n%d.%s%d"
+                                       % (nd.ident, side, k),
                                        at=("node", nd.ident))
-        for side, count in slots.items():
-            if any(("b", side, k) not in self.ends for k in range(count)):
+        for side, used in slots.items():
+            if any(("b", side, k) not in self.ends for k in range(used)):
                 raise DiagramError("boundary %s-slots not contiguous from 0"
                                    % side)
         self.n_in, self.n_out = slots["in"], slots["out"]
@@ -160,7 +163,7 @@ class Diagram:
                 raise DiagramError("wiretype only applies to layer=doubled",
                                    at=("wire", w))
             for ep in pair:
-                if ep[0] == "b" or by_id[ep[1]].kind.startswith("box:"):
+                if ep[0] == "b":
                     continue
                 spec = NODE_SPECS[layer, by_id[ep[1]].kind]
                 want = spec.ports[ep[2] == "out"]
@@ -279,18 +282,23 @@ NODE_SPECS = {
 }
 
 
+def _spec(layer, kind, line=None, at=None) -> NodeSpec:
+    """The spec of a node kind; refuses a kind its layer does not have."""
+    spec = NODE_SPECS.get((layer, kind))
+    if spec is None:
+        raise DiagramError("unknown %s-layer node kind %r" % (layer, kind),
+                           line, at)
+    return spec
+
+
 def _check_node(layer, p, nd: Node, line=None):
     """Refuse a node whose kind, arity or phase its layer does not allow."""
     kind, a, b = nd.kind, nd.phase[0], nd.phase[1]
     at = ("node", nd.ident)
-    spec = NODE_SPECS.get((layer, kind))
-    if spec is None and not (layer == LAYER_DOUBLED and
-                             kind.startswith("box:")):
-        raise DiagramError("unknown %s-layer node kind %r" % (layer, kind),
-                           line, at)
+    spec = _spec(layer, kind, line, at)
     if nd.n_in < 0 or nd.n_out < 0:
         raise DiagramError("negative arity on node %d" % nd.ident, line, at)
-    fixed = spec and spec.arity
+    fixed = spec.arity
     if fixed and (nd.n_in, nd.n_out) != fixed:
         raise DiagramError("%s is %d->%d, got %d->%d" %
                            (kind, fixed[0], fixed[1], nd.n_in, nd.n_out),
@@ -298,7 +306,7 @@ def _check_node(layer, p, nd: Node, line=None):
     if not (0 <= a < p and 0 <= b < p):
         raise DiagramError("phase %r out of range for p=%d" %
                            (nd.phase, int(p)), line, at)
-    rule = spec.phase if spec else "none"
+    rule = spec.phase
     if rule == "none" and (a, b) != (0, 0):
         raise DiagramError("%s takes no phase" % kind, line, at)
     if rule in ("single", "invertible") and b != 0:
@@ -399,19 +407,14 @@ def parse(text: str, p=None) -> Diagram:
                 else:
                     raise DiagramError("phase takes one or two values",
                                        lineno)
-            spec = NODE_SPECS.get((layer, kind))
-            n_in, n_out = spec.arity if spec and spec.arity else (1, 1)
             try:
-                if "arity_in" in kv:
-                    n_in = int(kv["arity_in"])
-                if "arity_out" in kv:
-                    n_out = int(kv["arity_out"])
+                arity = {k: int(kv[k]) for k in ("arity_in", "arity_out")
+                         if k in kv}
             except ValueError:
                 raise DiagramError("bad arity value", lineno) from None
-            if kind.startswith("box:") and \
-                    not ("arity_in" in kv and "arity_out" in kv):
-                raise DiagramError("box nodes must declare arities", lineno)
-            nd = Node(ident, kind, phase, n_in, n_out)
+            n_in, n_out = _spec(layer, kind, lineno).arity or (1, 1)
+            nd = Node(ident, kind, phase, arity.get("arity_in", n_in),
+                      arity.get("arity_out", n_out))
             _check_node(layer, p, nd, lineno)
             nodes.append(nd)
             lines["node", ident] = lineno
@@ -467,74 +470,39 @@ def _ep_str(ep) -> str:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _node_relation(d: Diagram, nd: Node, boxes, stack):
-    if not nd.kind.startswith("box:"):
-        return NODE_SPECS[d.layer, nd.kind].build(d.p, nd.n_in, nd.n_out,
-                                                  *nd.phase)
-    name = nd.kind[4:]
-    if not boxes or name not in boxes:
-        raise DiagramError("unknown box %r" % name)
-    if name in stack:
-        raise DiagramError("box %r is recursively defined" % name)
-    sub = boxes[name]
-    if sub.p != d.p or sub.layer != d.layer:
-        raise DiagramError("box %r does not match p/layer" % name)
-    if (sub.n_in, sub.n_out) != (nd.n_in, nd.n_out):
-        raise DiagramError("box %r is %d->%d, node declares %d->%d" %
-                           (name, sub.n_in, sub.n_out, nd.n_in, nd.n_out))
-    rel = _evaluate(sub, boxes, stack | {name})
-    for ep, t in zip(_ports(nd), sub.dom_types() + sub.cod_types()):
-        if d.wire_types[d.ends[ep]] != t:
-            raise DiagramError("port n%d.%s%d expects a %s wire"
-                               % (nd.ident, ep[2], ep[3], t))
-    return rel
-
-
-def evaluate(d: Diagram, boxes=None):
+def evaluate(d: Diagram):
     """Compile a diagram to its relation by one global elimination.
 
     One column per wire coordinate; every node is a part of
     `relation.conjoin` on its wires' columns, and the boundary wires'
     columns are kept.  Returns an AffineRelation (layer=affine) or
-    GradedRelation (layer=doubled).  `boxes` maps names to sub-diagrams
-    for box nodes.
+    GradedRelation (layer=doubled).
     """
-    rel = _evaluate(d, boxes, frozenset())
-    if d.layer == LAYER_AFFINE:
-        return rel
-    return db.GradedRelation(d.p, d.dom_types(), d.cod_types(), rel)
-
-
-def _evaluate(d: Diagram, boxes, stack) -> ar.AffineRelation:
-    """The relation of `d` on its boundary's flat coordinates."""
-    wire_cols: List[range] = []
-    ncols = 0
-    for t in d.wire_types:
-        wire_cols.append(range(ncols, ncols + db.wire_width(t)))
-        ncols += len(wire_cols[-1])
+    starts = list(accumulate(map(db.wire_width, d.wire_types), initial=0))
+    wire_cols = [range(a, b) for a, b in zip(starts, starts[1:])]
+    ncols = starts[-1]
 
     def cols(eps):
         """Columns of the flat coordinates of the wires at `eps`."""
         return db._flat_cols([wire_cols[d.ends[ep]] for ep in eps])
 
-    # generator nodes of one kind, arity and phase share their relation;
-    # the memo holds only what those three determine, so a box node is
-    # still looked up, checked and evaluated from its sub-diagram
+    # nodes of one kind, arity and phase share their relation
     memo = {}
     parts = []
     for nd in d.nodes:
-        key = (nd.kind, nd.n_in, nd.n_out, nd.phase)
-        rel = memo.get(key)
-        if rel is None:
-            rel = _node_relation(d, nd, boxes, stack)
-            if not nd.kind.startswith("box:"):
-                memo[key] = rel
+        key = (nd.kind, nd.n_in, nd.n_out) + nd.phase
+        if key not in memo:
+            memo[key] = NODE_SPECS[d.layer, nd.kind].build(d.p, *key[1:])
         ports = _ports(nd)
-        parts.append((rel, cols(ports[:nd.n_in]) + cols(ports[nd.n_in:])))
+        parts.append((memo[key],
+                      cols(ports[:nd.n_in]) + cols(ports[nd.n_in:])))
 
     dom = cols([("b", "in", k) for k in range(d.n_in)])
     cod = cols([("b", "out", k) for k in range(d.n_out)])
-    return ar.conjoin(d.p, ncols, parts, dom + cod, len(dom), len(cod))
+    rel = ar.conjoin(d.p, ncols, parts, dom + cod, len(dom), len(cod))
+    if d.layer == LAYER_AFFINE:
+        return rel
+    return db.GradedRelation(d.p, d.dom_types(), d.cod_types(), rel)
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +622,7 @@ def to_text(d: Diagram) -> str:
         parts = ["node %d %s" % (nd.ident, nd.kind)]
         if nd.phase != (0, 0):
             parts.append("phase=%d,%d" % nd.phase)
-        spec = NODE_SPECS.get((d.layer, nd.kind))
-        if not (spec and spec.arity):
+        if not NODE_SPECS[d.layer, nd.kind].arity:
             parts.append("arity_in=%d" % nd.n_in)
             parts.append("arity_out=%d" % nd.n_out)
         lines.append(" ".join(parts))

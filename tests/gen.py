@@ -9,6 +9,7 @@ import numpy as np
 from stabrel import doubled as db
 from stabrel import relation as ar
 from stabrel import symplectic as sy
+from stabrel.linalg import matmul_mod
 from stabrel.relation import AffineRelation
 
 
@@ -32,7 +33,7 @@ def random_isotropic(rng, p, n):
                               dtype=np.int64)
             if not compl.dim:
                 break
-            v = (coeffs @ compl.basis) % p
+            v = matmul_mod(coeffs, compl.basis, p)
             if not cur.linear.contains(v):
                 rows.append(v)
                 cur = sy.GradedSubspace.from_rows(space, rows)

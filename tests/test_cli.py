@@ -142,6 +142,13 @@ def test_syndrome_command(capsys):
         assert (code, out) == (0, "1,1\n"), p
 
 
+def test_syndrome_error_may_start_with_a_minus(capsys):
+    for argv in (["-1,0,0|0,1,0"], ["-1,0,0|0,1,0", "--p", "5"],
+                 ["--", "-1,0,0|0,1,0"]):
+        code, out, err = run(capsys, "syndrome", fx("repetition3.code"), *argv)
+        assert (code, out, err) == (0, "1,0\n", ""), argv
+
+
 def test_verify_command(capsys, tmp_path):
     errors = tmp_path / "w1.errors"
     errors.write_text("0,0,0|1,0,0\n0,0,0|0,1,0\n0,0,0|0,0,1\n0,0,0|0,0,0\n")

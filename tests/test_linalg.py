@@ -246,8 +246,10 @@ def test_nullspace_zero_columns():
 # -- property tests against Gauss-Jordan elimination in Python ints --------
 
 # small primes, word-sized primes, the largest prime whose (p-1)^2
-# still fits in int64, and two primes past it (Python-int elimination)
-PROPERTY_PRIMES = (2, 3, 5, 65521, 2**31 - 1, 3037000493, 4294967311, 2**61 - 1)
+# still fits in int64, and three primes past it (Python-int elimination),
+# the last the largest prime below 2^63
+PROPERTY_PRIMES = (2, 3, 5, 65521, 2**31 - 1, 3037000493, 4294967311,
+                   2**61 - 1, 2**63 - 25)
 
 
 @st.composite
@@ -277,7 +279,9 @@ def matrices(draw):
     return p, ncols, rows
 
 
-def as_matrix(rows, ncols):
+def as_matrix(rows, ncols, p):
+    """rows as an int64 array; an entry past int64 enters as its residue."""
+    rows = [[x if -2**63 <= x < 2**63 else x % p for x in row] for row in rows]
     return np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
 
 
@@ -285,7 +289,7 @@ def as_matrix(rows, ncols):
 @given(matrices())
 def test_rref_matches_python_int_elimination(case):
     p, ncols, rows = case
-    red, piv = rref_mod(as_matrix(rows, ncols), p)
+    red, piv = rref_mod(as_matrix(rows, ncols, p), p)
     want, want_piv = python_rref(rows, ncols, p)
     assert red.dtype == np.int64
     assert red.shape == (len(want), ncols)
@@ -298,7 +302,7 @@ def test_rref_matches_python_int_elimination(case):
 def test_kernel_exact_against_python_ints(case):
     p, ncols, rows = case
     want, want_piv = python_rref(rows, ncols, p)
-    k = nullspace_mod(as_matrix(rows, ncols), p)
+    k = nullspace_mod(as_matrix(rows, ncols, p), p)
     assert k.shape == (ncols - len(want_piv), ncols)
     assert ((k >= 0) & (k < p)).all()
     # every row of the matrix is orthogonal to every kernel row, in Python ints
@@ -310,7 +314,7 @@ def test_kernel_exact_against_python_ints(case):
     free = [c for c in range(ncols) if c not in want_piv]
     assert k[:, free].tolist() == np.eye(len(free), dtype=np.int64).tolist()
     # the kernel read off the reference RREF is the same basis
-    red = as_matrix(want, ncols)
+    red = as_matrix(want, ncols, p)
     assert np.array_equal(rref_kernel(red, want_piv, ncols, p), k)
 
 
@@ -324,7 +328,7 @@ def test_reduce_is_exact_past_int64():
             n = rng.randrange(1, 7)
             rows = [[rng.randrange(p) for _ in range(n)]
                     for _ in range(rng.randrange(n + 1))]
-            space = Subspace(p, n, as_matrix(rows, n))
+            space = Subspace(p, n, as_matrix(rows, n, p))
             v = [rng.randrange(p) for _ in range(n)]
             want = list(v)
             for row, c in zip(space.basis.tolist(), space.pivots):

@@ -375,7 +375,8 @@ def repetition_text(p, n):
     return "p=%d\nn=%d\nk=1\n%s\n" % (p, n, "\n".join(rows))
 
 
-WIDE_PRIMES = (2 ** 31 - 1, 3037000493, 4294967311, 2 ** 61 - 1)
+WIDE_PRIMES = (2 ** 31 - 1, 3037000493, 4294967311, 2 ** 61 - 1,
+               2 ** 63 - 25)
 
 
 def oracle_codes(family):

@@ -490,7 +490,7 @@ def test_conjoin_adds_repeated_columns_exactly(p):
 
 # -- composition laws at every prime -----------------------------------------
 
-LAW_PRIMES = (2, 3, 5, 65521, 2**31 - 1, 4294967311, 2**61 - 1)
+LAW_PRIMES = (2, 3, 5, 65521, 2**31 - 1, 4294967311, 2**61 - 1, 2**63 - 25)
 
 
 def same_points(r, s):

@@ -239,6 +239,14 @@ def test_classify_makes_no_nullspace_call(monkeypatch):
     assert set(kinds) <= {"coisotropic", "lagrangian", "isotropic"}
 
 
+@pytest.mark.parametrize("p", (2**61 - 1, 2**63 - 25))
+def test_random_coisotropic_is_coisotropic_at_wide_primes(p):
+    for seed in range(60):
+        for n in (1, 2, 3):
+            s = random_coisotropic(random.Random(seed), p, n)
+            assert classify(s) in ("coisotropic", "lagrangian"), (seed, n)
+
+
 def test_from_state_is_the_constructor_on_its_state():
     """GradedSubspace(space, shift, linear) is the subspace whose state
     it stores; an unreduced shift comes back as the canonical coset
@@ -398,7 +406,7 @@ def test_dilation_gate_route_matches_matrix():
         assert np.array_equal((dil.matrix.T @ om @ dil.matrix) % p, om % p)
 
 
-DILATION_PRIMES = (2, 3, 5, 7, 2**31 - 1, 4294967311, 2**61 - 1)
+DILATION_PRIMES = (2, 3, 5, 7, 2**31 - 1, 4294967311, 2**61 - 1, 2**63 - 25)
 
 
 @pytest.mark.parametrize("p", DILATION_PRIMES)
