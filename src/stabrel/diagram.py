@@ -177,12 +177,6 @@ class Diagram:
                 types[w] = CLASSICAL if layer == LAYER_AFFINE else QUANTUM
         self.wire_types = tuple(types)
 
-    def node(self, ident: int) -> Node:
-        for nd in self.nodes:
-            if nd.ident == ident:
-                return nd
-        raise KeyError(ident)
-
     def dom_types(self) -> Tuple[str, ...]:
         return tuple(self.wire_types[self.ends["b", "in", k]]
                      for k in range(self.n_in))
@@ -586,27 +580,26 @@ def compose_diagrams(d1: Diagram, d2: Diagram) -> Diagram:
 
 
 def normalize(d: Diagram) -> Diagram:
-    """Canonical structural form: breadth-first node ids from the
-    boundary, wires sorted.  Lets syntactically glued diagrams be
+    """Canonical structural form: node ids in depth-first preorder (an
+    explicit stack) from the input slots, the output slots, then unseen
+    nodes by id; wires sorted.  Lets syntactically glued diagrams be
     compared to hand-written ones."""
+    by_id = {nd.ident: nd for nd in d.nodes}
     order: Dict[int, int] = {}
 
     def other(ep):
         a, b = d.wires[d.ends[ep]]
         return b if a == ep else a
 
-    def visit(ep):
+    stack = ([("n", i) for i in sorted(by_id, reverse=True)]
+             + [other(("b", "out", k)) for k in reversed(range(d.n_out))]
+             + [other(("b", "in", k)) for k in reversed(range(d.n_in))])
+    while stack:
+        ep = stack.pop()
         if ep[0] == "n" and ep[1] not in order:
             order[ep[1]] = len(order)
-            for port in _ports(d.node(ep[1])):
-                visit(other(port))
-
-    for k in range(d.n_in):
-        visit(other(("b", "in", k)))
-    for k in range(d.n_out):
-        visit(other(("b", "out", k)))
-    for nd in sorted(d.nodes, key=lambda nd: nd.ident):
-        visit(("n", nd.ident))
+            stack.extend(other(port)
+                         for port in reversed(_ports(by_id[ep[1]])))
 
     nodes, wires = _moved(d, order.__getitem__)
     nodes.sort(key=lambda nd: nd.ident)

@@ -366,12 +366,6 @@ def symplectomorphism_relation(p, mat) -> GradedRelation:
     return GradedRelation(p, quantum_wires(n), quantum_wires(n), rel)
 
 
-def gate_relation(p, gate, n: int) -> GradedRelation:
-    """The graded relation of one elementary symplectomorphism on n wires."""
-    return symplectomorphism_relation(
-        p, gate.matrix(SymplecticSpace(p, n)))
-
-
 # ---------------------------------------------------------------------------
 # states, discarding, projectors, measurement
 

@@ -25,14 +25,16 @@ never need the branching: affine_correction_protocol applies the
 correction with a classically controlled Weyl shift, keeping the whole
 protocol a single relation.
 
-File formats (both plain text, `#` comments, blank lines ignored):
+File formats (all plain text, `#` comments, blank lines ignored):
 
   code file      p=2 / n=3 / k=1 assignments, one stabilizer generator
                  per line as `z1,..,zn|x1,..,xn` with an optional
                  `|phase` field, and correction entries as
-                 `s1,..,sd -> z1,..,zn|x1,..,xn`.
+                 `s1,..,sd -> z1,..,zn|x1,..,xn` (`-> z|x` when k = n).
   subspace file  p= / n= assignments, an optional `shift z|x` line and
                  one basis row `z|x` per line.
+  dilation file  format_dilation's encoder diagram, behind `#` lines
+                 with the sizes, matrix U, syndrome rows and shift.
 
 In every format, entries and phases of any size read as their residues.
 """
@@ -44,10 +46,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import diagram as dg
 from . import doubled as db
 from . import relation as ar
 from . import symplectic as sy
-from .linalg import Subspace, matmul_mod, mod_p, rref_mod
+from .linalg import Subspace, inv_mod, matmul_mod, mod_p, rref_mod
 
 
 class StabilizerCode:
@@ -489,15 +492,16 @@ def parse_table_file(text: str, p, n: int, d: int) -> CorrectionTable:
     """Parse correction entries (`syndrome -> error` lines) into a table.
 
     Lines without an arrow are ignored, so a code file that embeds its
-    table can be passed directly.
+    table can be passed directly.  An empty left side is the empty
+    syndrome of a code with no stabilizers (d = 0).
     """
     entries: Dict[tuple, np.ndarray] = {}
     for no, line in _strip_lines(text):
         if "->" not in line:
             continue
-        left, _, right = line.partition("->")
-        key = tuple(_parse_ints(left.strip(), no))
-        row, _ = _parse_row(right.strip(), n, no, p)
+        left, right = (part.strip() for part in line.partition("->")[::2])
+        key = tuple(_parse_ints(left, no)) if left else ()
+        row, _ = _parse_row(right, n, no, p)
         if key in entries:
             raise ValueError("line %d: duplicate syndrome %r" % (no, key))
         entries[key] = np.asarray(row, dtype=np.int64)
@@ -525,24 +529,66 @@ def _format_vector(vec, n: int) -> str:
                       ",".join(str(int(v)) for v in vec[n:]))
 
 
-def format_dilation(dil: sy.Dilation) -> str:
-    """Serialize a dilation: header, gate list, product matrix, syndrome
-    rows and the subspace shift."""
-    space = dil.subspace.space
-    p, n = int(space.p), space.n
-    lines = ["p=%d" % p, "n=%d" % n, "m=%d" % dil.m, "d=%d" % dil.d]
-    for gate in dil.gates:
-        wires = ",".join(str(w) for w in gate.wires)
-        if gate.kind in ("cadd", "phase"):
-            lines.append("gate %s %s %d" % (gate.kind, wires, gate.coeff % p))
+def encoder_diagram(dil: sy.Dilation) -> dg.Diagram:
+    """dil.encoder as a `layer=doubled` diagram: a |0> ancilla (x_spider
+    0 -> 1) on wires 0..d-1 beside the m inputs, then U^-1 as the
+    inverse gates in reverse order, each spelled out in spiders and
+    scalings, then the shift."""
+    p, n = int(dil.subspace.space.p), dil.subspace.space.n
+    nodes: List[dg.Node] = []
+    wires = []
+
+    def node(kind, phase=(0, 0), ins=(), n_out=1):
+        """A node fed by the open wire ends `ins`; its output ends."""
+        ident = len(nodes)
+        nodes.append(dg.Node(ident, kind, [int(v) % p for v in phase],
+                             len(ins), n_out))
+        wires.extend((ep, ("n", ident, "in", k)) for k, ep in enumerate(ins))
+        return [("n", ident, "out", k) for k in range(n_out)]
+
+    ends = ([node("x_spider")[0] for _ in range(dil.d)]
+            + [("b", "in", j) for j in range(dil.m)])
+    for gate in reversed(dil.gates):
+        gate = gate.inverse()
+        w = gate.wires[0]
+        if gate.kind == "permute":
+            ends = [ends[s] for s in gate.wires]
+        elif gate.kind == "phase":
+            ends[w], = node("x_spider", (0, gate.coeff), [ends[w]])
+        elif gate.kind == "cadd":
+            # z_k += c z_j: copy z_j, multiply it by c (`scaling` by 1/c
+            # scales z against), add it into wire k
+            k = gate.wires[1]
+            ends[w], copied = node("x_spider", ins=[ends[w]], n_out=2)
+            scaled = node("scaling", (inv_mod(gate.coeff, p), 0), [copied])
+            ends[k], = node("z_spider", ins=[ends[k]] + scaled)
         else:
-            lines.append("gate %s %s" % (gate.kind, wires))
-    for row in dil.matrix:
-        lines.append("matrix %s" % ",".join(str(int(v)) for v in row))
-    for row in dil.syndrome_basis:
-        lines.append("syndrome %s" % _format_vector(row, n))
+            # fourier is Z(0,1) ; X(0,-1) ; Z(0,1), fourier_inv its negation
+            b = 1 if gate.kind == "fourier" else -1
+            for kind, phase in (("z_spider", b), ("x_spider", -b),
+                                ("z_spider", b)):
+                ends[w], = node(kind, (0, phase), [ends[w]])
+    shift = dil.subspace.shift
+    for w in range(n):
+        for kind, a in (("z_spider", shift[w]), ("x_spider", shift[n + w])):
+            if a:
+                ends[w], = node(kind, (a, 0), [ends[w]])
+    wires += [(ends[w], ("b", "out", w)) for w in range(n)]
+    return dg.Diagram(p, dg.LAYER_DOUBLED, nodes, wires, [None] * len(wires))
+
+
+def format_dilation(dil: sy.Dilation) -> str:
+    """The encoder diagram's text behind `#` lines with the sizes, matrix
+    U, syndrome rows and shift: `diagram.parse` reads the whole file."""
+    n = dil.subspace.space.n
+    lines = ["n=%d m=%d d=%d gates=%d" % (n, dil.m, dil.d, len(dil.gates))]
+    lines += ["matrix %s" % ",".join(str(int(v)) for v in row)
+              for row in dil.matrix]
+    lines += ["syndrome %s" % _format_vector(row, n)
+              for row in dil.syndrome_basis]
     lines.append("shift %s" % _format_vector(dil.subspace.shift, n))
-    return "\n".join(lines) + "\n"
+    return ("".join("# %s\n" % line for line in lines)
+            + dg.to_text(encoder_diagram(dil)))
 
 
 def is_css(stabilizers, n: int, p) -> bool:

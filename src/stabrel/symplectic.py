@@ -17,7 +17,8 @@ permutation) maps L^omega onto span{e_z1 .. e_zd}.  Their product
 U = [[A, B], [C, D]] is accumulated gate by gate and inverted in closed
 form, U^-1 = [[D^T, -B^T], [-C^T, A^T]]; the encoder is the standard
 product state followed by U^-1 and the shift, written down as one
-system of constraints.
+system of constraints.  `qec.encoder_diagram` spells the same encoder
+out as a diagram of the inverse gates.
 """
 
 from __future__ import annotations
@@ -264,14 +265,6 @@ class Gate:
         if self.kind in ("fourier", "fourier_inv", "permute"):
             return "Gate(%r, %r)" % (self.kind, self.wires)
         return "Gate(%r, %r, %d)" % (self.kind, self.wires, self.coeff)
-
-
-def gates_to_matrix(space: SymplecticSpace, gates) -> np.ndarray:
-    """Product matrix of a gate list, first gate applied first."""
-    m = np.eye(2 * space.n, dtype=np.int64)
-    for g in gates:
-        m = matmul_mod(g.matrix(space), m, space.p)
-    return m
 
 
 # ---------------------------------------------------------------------------

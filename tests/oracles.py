@@ -20,7 +20,8 @@ phase through a scalar, and from composing the Fourier gate out of its
 three-spider Euler decomposition.  The code-layer relations (encoder,
 syndrome measurement, classical readout) are composed as circuits: the
 dilation's symplectomorphism and its inverse around one-wire product
-states, measurements and discards.  Correction is verified per error
+states, measurements and discards; the dilation's matrix is the product
+of its gates' matrices.  Correction is verified per error
 from the state's syndrome, then the whole five-stage branch.  The affine
 fit of a correction table solves for one error coordinate at a time."""
 
@@ -33,7 +34,8 @@ from stabrel import doubled as db
 from stabrel import qec
 from stabrel import relation as ar
 from stabrel import symplectic as sy
-from stabrel.linalg import Subspace, mod_p, nullspace_mod, solve_mod
+from stabrel.linalg import (Subspace, matmul_mod, mod_p, nullspace_mod,
+                            solve_mod)
 
 
 def vectors(p, n):
@@ -330,6 +332,14 @@ def wired_prep_x(p):
 
 # ---------------------------------------------------------------------------
 # the code-layer relations, composed as circuits
+
+
+def gates_to_matrix(space: sy.SymplecticSpace, gates) -> np.ndarray:
+    """Product matrix of a gate list, first gate applied first."""
+    m = np.eye(2 * space.n, dtype=np.int64)
+    for g in gates:
+        m = matmul_mod(g.matrix(space), m, space.p)
+    return m
 
 
 def wired_encoder(dil):

@@ -279,7 +279,8 @@ def random_pure_circuit(rng, p):
             if width >= 2:
                 j, k = rng.sample(range(width), 2)
                 gates.append(sy.Gate("cadd", (j, k), rng.randrange(1, p)))
-            layer = db.gate_relation(p, rng.choice(gates), width)
+            layer = db.symplectomorphism_relation(
+                p, rng.choice(gates).matrix(sy.SymplecticSpace(p, width)))
             circ = db.compose(circ, layer)
         elif move == 1:
             circ = db.compose(circ, db.weyl(

@@ -1,9 +1,13 @@
 import os
+import random
 import shutil
 
 import pytest
 
-from stabrel import cli
+from stabrel import cli, qec
+from stabrel import symplectic as sy
+
+from gen import random_code
 
 FIX = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -110,22 +114,52 @@ def test_classify(capsys, tmp_path):
 
 
 def test_dilate_writes_deterministic_artifact(capsys, tmp_path):
-    out_a = tmp_path / "a.dilation"
-    out_b = tmp_path / "b.dilation"
+    out_a = tmp_path / "a.diagram"
+    out_b = tmp_path / "b.diagram"
     code, out, _ = run(capsys, "dilate", fx("repetition3.subspace"),
                        str(out_a))
     assert code == 0 and out == "dilated: n=3 m=1 d=2 gates=2\n"
     run(capsys, "dilate", fx("repetition3.subspace"), str(out_b))
     text = out_a.read_text()
     assert text == out_b.read_text()
-    assert text.startswith("p=2\nn=3\nm=1\nd=2\n")
-    assert "syndrome 1,0,1|0,0,0" in text
-    assert text.count("matrix ") == 6
+    assert text.startswith("# n=3 m=1 d=2 gates=2\n")
+    assert "# syndrome 1,0,1|0,0,0\n" in text
+    assert text.count("# matrix ") == 6
+    assert "p=2; layer=doubled\n" in text and "gate " not in text
     # a non-coisotropic input is an input error
     iso = tmp_path / "iso.subspace"
     iso.write_text("p=2\nn=2\n1,0|0,0\n")
     code, _, err = run(capsys, "dilate", str(iso), str(tmp_path / "x"))
     assert code == 3 and "coisotropic" in err
+
+
+def _subspace_file(path, sub):
+    """Write a GradedSubspace as a subspace file."""
+    p, n = sub.space.p, sub.space.n
+    rows = [qec._format_vector(v, n) for v in sub.linear.basis]
+    path.write_text("p=%d\nn=%d\nshift %s\n" % (p, n, qec._format_vector(
+        sub.shift, n)) + "".join(row + "\n" for row in rows))
+
+
+def test_dilate_output_is_read_by_eval_and_equal(capsys, tmp_path):
+    """`eval --print basis` of the written encoder prints the basis of
+    the dilation's encoder, and the file equals itself."""
+    subs = {"repetition3": qec.parse_subspace_path(fx("repetition3.subspace"))}
+    for seed, p, n, d in ((1, 3, 3, 2), (2, 7, 3, 1), (3, 5, 2, 2),
+                          (4, 2**31 - 1, 2, 1), (5, 4294967311, 3, 2),
+                          (6, 2**61 - 1, 2, 2)):
+        subs[seed] = random_code(random.Random(seed), p, n, d)[0]
+    for name, sub in subs.items():
+        source, out = tmp_path / "s.subspace", str(tmp_path / "enc.diagram")
+        _subspace_file(source, sub)
+        dil = sy.dilation(sub)
+        code, text, _ = run(capsys, "dilate", str(source), out)
+        assert (code, text) == (0, "dilated: n=%d m=%d d=%d gates=%d\n" % (
+            sub.space.n, dil.m, dil.d, len(dil.gates))), name
+        code, text, _ = run(capsys, "eval", out, "--print", "basis")
+        want = "".join(line + "\n" for line in cli.render_basis(dil.encoder.rel))
+        assert (code, text) == (0, want), name
+        assert run(capsys, "equal", out, out)[:2] == (0, "EQUAL: yes\n"), name
 
 
 def test_syndrome_command(capsys):
@@ -173,6 +207,27 @@ def test_verify_command(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", fx("repetition3.code"),
                        fx("repetition3.code"), str(none))
     assert (code, out) == (0, "VERIFIED: yes\n")
+
+
+def test_verify_a_code_with_no_stabilizers(capsys, tmp_path):
+    """k = n: the table entry `-> z|x` is the empty syndrome's."""
+    code_file = tmp_path / "k1.code"
+    code_file.write_text("p=3\nn=1\nk=1\n")
+    table = tmp_path / "k1.table"
+    table.write_text("-> 0|0\n")
+    errors = tmp_path / "k1.errors"
+    errors.write_text("0|0\n")
+    assert run(capsys, "verify", str(code_file), str(table), str(errors)) \
+        == (0, "0|0 ->  ok\nVERIFIED: yes\n", "")
+    errors.write_text("1|1\n")
+    assert run(capsys, "verify", str(code_file), str(table), str(errors)) \
+        == (1, "1|1 ->  FAIL (residual error after correction)\n"
+               "VERIFIED: no\n", "")
+    # on a code with stabilizers the empty syndrome has the wrong length
+    table.write_text("-> 0,0,0|0,0,0\n")
+    code, _, err = run(capsys, "verify", fx("repetition3.code"), str(table),
+                       str(errors))
+    assert code == 3 and "has length 0, expected 2" in err
 
 
 def test_demo_teleport(capsys):

@@ -361,6 +361,54 @@ wire n6.out0 out0
     assert dg.evaluate(glued) == db.identity_relation(3, 1)
 
 
+def test_normalize_numbers_nodes_in_depth_first_preorder():
+    """From in0 the walk goes n0, then down n0.out0 to its end before it
+    takes n0.out1; breadth first would number the x_spider 2."""
+    d = dg.parse("""p=3; layer=doubled
+node 5 z_spider arity_in=1 arity_out=2
+node 7 z_spider
+node 3 x_spider
+node 9 z_spider
+wire in0 n5.in0
+wire n5.out1 n9.in0
+wire n5.out0 n7.in0
+wire n7.out0 n3.in0
+wire n3.out0 out0
+wire n9.out0 out1
+""")
+    assert dg.to_text(dg.normalize(d)) == """p=3; layer=doubled
+node 0 z_spider arity_in=1 arity_out=2
+node 1 z_spider arity_in=1 arity_out=1
+node 2 x_spider arity_in=1 arity_out=1
+node 3 z_spider arity_in=1 arity_out=1
+wire in0 n0.in0
+wire out0 n2.out0
+wire out1 n3.out0
+wire n0.out0 n1.in0
+wire n0.out1 n3.in0
+wire n1.out0 n2.in0
+"""
+
+
+def test_normalize_walks_a_long_chain():
+    """A chain of 5000 spiders, numbered against its order, is renumbered
+    along it without recursing once per node."""
+    size = 5000
+    ident = [size - 1 - i for i in range(size)]
+    ends = ([("b", "in", 0)] + [("n", i, "out", 0) for i in ident],
+            [("n", i, "in", 0) for i in ident] + [("b", "out", 0)])
+    chain = dg.Diagram(3, dg.LAYER_DOUBLED,
+                       [dg.Node(i, "z_spider") for i in ident],
+                       list(zip(*ends)), [None] * (size + 1))
+    got = dg.normalize(chain)
+    assert [nd.ident for nd in got.nodes] == list(range(size))
+    assert set(got.wires) == (
+        {(("b", "in", 0), ("n", 0, "in", 0)),
+         (("b", "out", 0), ("n", size - 1, "out", 0))}
+        | {(("n", i, "out", 0), ("n", i + 1, "in", 0))
+           for i in range(size - 1)})
+
+
 def test_box_nodes_are_unknown_kinds(capsys, tmp_path):
     """A sub-diagram enters by splicing, not as a `box:` node, which
     parses as an unknown kind at its line."""

@@ -461,7 +461,8 @@ def test_teleportation():
     for p in (2, 3, 5):
         bell = db.bell_state(p)
         start = db.tensor(db.identity_relation(p, 1), bell)
-        entangle = db.gate_relation(p, sy.Gate("cadd", (1, 0), 1), 2)
+        entangle = db.symplectomorphism_relation(
+            p, sy.Gate("cadd", (1, 0), 1).matrix(sy.SymplecticSpace(p, 2)))
         meas = db.compose(entangle,
                           db.tensor(db.measure_x(p), db.measure_z(p)))
         step = db.compose(start, db.tensor(meas, db.identity_relation(p, 1)))

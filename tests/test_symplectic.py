@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from stabrel import diagram as dg
 from stabrel import doubled as db
 from stabrel import linalg, qec
 from stabrel import relation as ar
@@ -16,15 +17,14 @@ from stabrel.symplectic import (
     SymplecticSpace,
     classify,
     dilation,
-    gates_to_matrix,
     omega,
     omega_dual,
     symp_complement,
 )
 
 from gen import random_code, random_coisotropic, random_isotropic
-from oracles import (_complement_subspace, all_subspaces, omega_product,
-                     symp_complement_points, vectors)
+from oracles import (_complement_subspace, all_subspaces, gates_to_matrix,
+                     omega_product, symp_complement_points, vectors)
 
 
 def rep_code_space():
@@ -400,7 +400,8 @@ def test_dilation_gate_route_matches_matrix():
         dil = dilation(s)
         chain = db.identity_relation(p, n)
         for g in dil.gates:
-            chain = db.compose(chain, db.gate_relation(p, g, n))
+            chain = db.compose(chain, db.symplectomorphism_relation(
+                p, g.matrix(SymplecticSpace(p, n))))
         assert chain == db.symplectomorphism_relation(p, dil.matrix)
         om = SymplecticSpace(p, n).omega_matrix()
         assert np.array_equal((dil.matrix.T @ om @ dil.matrix) % p, om % p)
@@ -444,8 +445,9 @@ def frozen_dilations():
 
 
 def test_format_dilation_is_frozen():
-    """The gate list, matrix and syndrome rows of a few dilations, as the
-    text format_dilation writes, cannot drift."""
+    """The encoder diagram, with the sizes, matrix, syndrome rows and shift
+    in its `#` header lines, as the text format_dilation writes, cannot
+    drift."""
     fix = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
     frozen = frozen_dilations()
     assert len(frozen) == 7
@@ -456,4 +458,30 @@ def test_format_dilation_is_frozen():
             args = dict(kv.split("=") for kv in name.split()[1:])
             seed, p, n, d = (int(args[k]) for k in ("seed", "p", "n", "d"))
             sub, _ = random_code(random.Random(seed), p, n, d)
-        assert qec.format_dilation(dilation(sub)) == text, name
+        dil = dilation(sub)
+        assert qec.format_dilation(dil) == text, name
+        assert text.startswith("# n=%d m=%d d=%d gates=%d\n"
+                               % (sub.space.n, dil.m, dil.d, len(dil.gates)))
+
+
+@pytest.mark.parametrize("p", DILATION_PRIMES)
+def test_written_encoder_evaluates_to_the_encoder(p):
+    """The file format_dilation writes parses as a diagram whose relation
+    is the encoder, for every d at n <= 6, shifted when n + d is odd;
+    the cases use all five gate kinds."""
+    rng = random.Random(p % 1013)
+    # one stabilizer z on the last wire: the dilation must permute
+    space = SymplecticSpace(p, 2)
+    subs = [GradedSubspace.from_rows(space, [[1, 0, 0, 0], [0, 1, 0, 0],
+                                             [0, 0, 1, 0]])]
+    for n in range(1, 7):
+        for d in range(n + 1):
+            subs.append(random_code(rng, p, n, d, shifted=(n + d) % 2)[0])
+    kinds = set()
+    for sub in subs:
+        dil = dilation(sub)
+        kinds.update(g.kind for g in dil.gates)
+        text = qec.format_dilation(dil)
+        assert "gate " not in text
+        assert dg.evaluate(dg.parse(text)) == dil.encoder
+    assert kinds == {"fourier", "fourier_inv", "cadd", "phase", "permute"}
