@@ -6,15 +6,15 @@ form, so two subspaces are equal as sets exactly when their stored
 bases are equal entry-for-entry.
 
 `rref_mod` clears each pivot column with one in-place numpy update of
-the other rows, right of the pivot.  `rref_kernel` reads a kernel off
-an RREF; `nullspace_mod` is the two in turn.  `matmul_mod` is the
-matrix product.
+the other rows, right of the pivot; `forward_eliminate` clears only the
+rows below it.  `rref_kernel` reads a kernel off an RREF, `nullspace_mod`
+runs `rref_mod` then it, and `matmul_mod` is the matrix product.
 
 Arithmetic is exact at every prime `Prime` accepts.  `_int64_exact`
 says when a sum of products of residues fits in int64; where it does
-not, `rref_mod`, `matmul_mod` and the scalar-times-row updates of the
-relation layer compute in Python ints (numpy object arrays) and return
-int64 residues, so the int64 path is taken wherever it is exact.
+not, both eliminations, `matmul_mod` and the scalar-times-row updates
+of the relation layer compute in Python ints (numpy object arrays) and
+return int64 residues, so the int64 path is taken wherever it is exact.
 """
 
 from __future__ import annotations
@@ -127,6 +127,30 @@ def rref_mod(mat, p: int) -> Tuple[np.ndarray, List[int]]:
         pivots.append(c)
         r += 1
     return a[:r].astype(np.int64, copy=False), pivots
+
+
+def forward_eliminate(mat, p: int, ncols: int) -> np.ndarray:
+    """Rows spanning the vectors of `mat`'s row space over F_p zero on its
+    first `ncols` columns, on the others; pivots there clear only rows below."""
+    a = _widen(np.atleast_2d(mod_p(mat, p)), p)
+    r = 0
+    for c in range(ncols):
+        if r == a.shape[0]:
+            break
+        rest = a[r:]  # the rows not yet spent, zero left of c
+        rows = rest[:, c].nonzero()[0]
+        if rows.size == 0:
+            continue
+        if rows[0]:  # swap with a row that is zero at c
+            rest[0], rest[rows[0]] = rest[rows[0]], rest[0].copy()
+        if rows.size > 1:
+            pivot = rest[0, c:]
+            if pivot[0] != 1:
+                pivot = pivot * inv_mod(pivot[0], p) % p
+            block = rest[rows[1:], c:]
+            rest[rows[1:], c:] = (block - block[:, :1] * pivot) % p
+        r += 1
+    return a[r:, ncols:].astype(np.int64, copy=False)
 
 
 def nullspace_mod(mat, p: int) -> np.ndarray:

@@ -395,8 +395,8 @@ def _parse_header(text: str, names, what: str, p):
     """The file's `name=` assignments and its other lines.
 
     Every name must be assigned once, a non-None `p` overrides the file's
-    prime, and the file must declare at least one qudit (n >= 1)."""
-    values = {}
+    prime, and n >= 1 must leave room for a dense 2n-row matrix."""
+    values, at = {}, {}
     rest = []
     for no, line in _strip_lines(text):
         key, sep, value = line.partition("=")
@@ -405,7 +405,7 @@ def _parse_header(text: str, names, what: str, p):
             if key in values:
                 raise ValueError("line %d: duplicate %s" % (no, key))
             try:
-                values[key] = int(value.strip())
+                values[key], at[key] = int(value.strip()), no
             except ValueError:
                 raise ValueError("line %d: %s must be an integer" % (no, key))
         else:
@@ -415,9 +415,13 @@ def _parse_header(text: str, names, what: str, p):
     for name in names:
         if name not in values:
             raise ValueError("%s file is missing %s=" % (what, name))
-    if values["n"] < 1:
-        raise ValueError("%s file needs n >= 1, got n=%d"
-                         % (what, values["n"]))
+    n = values["n"]
+    if n < 1:
+        raise ValueError("%s file needs n >= 1, got n=%d" % (what, n))
+    try:  # asks for address space only: no page is touched
+        np.empty((2 * n, 2 * n + 1), dtype=np.int64)
+    except (MemoryError, ValueError):
+        raise ValueError("line %d: n=%d is too large for memory" % (at["n"], n))
     return values, rest
 
 

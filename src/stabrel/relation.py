@@ -14,22 +14,21 @@ modules build relations from constraints or rows and move coordinates
 with `relabel`.  `conjoin` is the one elimination behind `compose_all`,
 `tensor_all` and diagram evaluation: it stacks the parts' constraint
 rows over shared coordinates, hidden (interior) coordinates first, and
-eliminates them in one RREF, as in relational composition seen as
-variable elimination.  The rows left with a boundary pivot are the
-composite's constraints.  A chain of k relations is one `conjoin`, its
-k - 1 interior boundaries all hidden; `compose` and `tensor` are the
-chains of two.
+eliminates them forward only, as in relational composition seen as
+variable elimination.  The rows left, zero on every hidden coordinate,
+are the composite's constraints, reduced by one RREF of the boundary.
+A chain of k relations is one `conjoin`, its k - 1 interior boundaries
+all hidden; `compose` and `tensor` are the chains of two.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .linalg import (Prime, Subspace, _widen, inv_mod, mod_p, nullspace_mod,
-                     rref_kernel, rref_mod)
+from .linalg import (Prime, Subspace, _widen, forward_eliminate, inv_mod,
+                     mod_p, nullspace_mod, rref_kernel)
 
 
 class ShiftedRelationError(ValueError):
@@ -169,11 +168,11 @@ def conjoin(p, width: int, parts, keep, dom: int, cod: int) -> AffineRelation:
 
     All parts' constraint rows are placed on their columns (a column a
     part lists twice adds its coefficients), with the hidden columns --
-    those not kept -- first.  One RREF eliminates the hidden variables:
-    a row whose pivot is hidden can be met by some value of them, so the
-    rows with a kept (or h) pivot alone constrain the boundary, and
-    their kernel is the relation.  A column `keep` lists twice is read
-    twice from that kernel."""
+    those not kept -- first.  Forward elimination of the hidden columns
+    sets aside each row with a hidden pivot, which some value of them
+    meets, so the rows left, zero on every hidden column, alone constrain
+    the boundary; the kernel of their RREF is the relation.  A column
+    `keep` lists twice is read twice from that kernel."""
     index = {c: i for i, c in enumerate(dict.fromkeys(keep))}  # kept column -> place
     hidden = [c for c in range(width) if c not in index]
     nh, nk = len(hidden), len(index)
@@ -192,9 +191,7 @@ def conjoin(p, width: int, parts, keep, dom: int, cod: int) -> AffineRelation:
                 block[:, col] = (block[:, col] - (p - c[:, j])) % p
         block[:, -1] = c[:, -1]
         top += c.shape[0]
-    red, pivots = rref_mod(sys, p)
-    first = bisect_left(pivots, nh)
-    joint = rref_kernel(red[first:, nh:], [c - nh for c in pivots[first:]], nk + 1, p)
+    joint = nullspace_mod(forward_eliminate(sys, p, nh), p)
     rows = joint[:, [*(index[c] for c in keep), nk]]
     return AffineRelation(p, dom, cod, Subspace(p, dom + cod + 1, rows))
 

@@ -212,7 +212,8 @@ def kernel_conjoin(p, width, parts, keep, dom, cod):
             block[:, cols] = c[:, :-1]
         else:
             for j, col in enumerate(cols):
-                block[:, col] = (block[:, col] + c[:, j]) % p
+                # a - (p - b): both terms are below p, so no int64 overflow
+                block[:, col] = (block[:, col] - (p - c[:, j])) % p
         block[:, -1] = c[:, -1]
         top += c.shape[0]
     joint = nullspace_mod(sys, p)

@@ -1,6 +1,8 @@
 import os
 import random
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +12,7 @@ from stabrel import symplectic as sy
 from gen import random_code
 
 FIX = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def fx(name):
@@ -453,3 +456,26 @@ def test_code_file_size_checks(capsys, tmp_path):
     code, _, err = run(capsys, "classify", str(no_qudits))
     assert code == 3
     assert err == "error: subspace file needs n >= 1, got n=0\n"
+
+
+@pytest.mark.parametrize("n", [10 ** 5, 10 ** 20])
+@pytest.mark.parametrize("kind", ["subspace", "code"])
+def test_huge_declared_n_is_refused_at_its_line(tmp_path, kind, n):
+    """A file declaring more qudits than a dense 2n-row matrix of residues
+    has room for is refused at its n= line, not failed on inside numpy.
+    The command runs with its address space capped at 2 GB, so that a
+    missed refusal fails fast instead of filling the machine's memory."""
+    path = tmp_path / ("huge." + kind)
+    if kind == "subspace":
+        path.write_text("p=3\nn=%d\n" % n)
+        argv = ["classify", str(path)]
+    else:  # a code with no stabilizers lists no rows either
+        path.write_text("p=3\nn=%d\nk=%d\n" % (n, n))
+        argv = ["syndrome", str(path), "0|0"]
+    proc = subprocess.run(
+        ["bash", "-c", 'ulimit -v 2000000; exec "$0" -m stabrel.cli "$@"',
+         sys.executable, *argv],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+        timeout=60)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: line 2: n=%d is too large for memory\n" % n

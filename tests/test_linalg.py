@@ -9,6 +9,7 @@ from stabrel.linalg import (
     Prime,
     Subspace,
     _int64_exact,
+    forward_eliminate,
     intersect,
     inv_mod,
     matmul_mod,
@@ -316,6 +317,24 @@ def test_kernel_exact_against_python_ints(case):
     # the kernel read off the reference RREF is the same basis
     red = as_matrix(want, ncols, p)
     assert np.array_equal(rref_kernel(red, want_piv, ncols, p), k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.integers(0, 60))
+def test_forward_eliminate_leaves_the_rows_zero_on_the_eliminated(case, hidden):
+    """The rows left after eliminating the first `hidden` columns span the
+    vectors of the row space that are zero there: their RREF is the rows
+    of the Python-int RREF whose pivot lies past those columns."""
+    p, ncols, rows = case
+    hidden = min(hidden, ncols)
+    left = forward_eliminate(as_matrix(rows, ncols, p), p, hidden)
+    assert left.dtype == np.int64 and left.shape[1] == ncols - hidden
+    assert ((left >= 0) & (left < p)).all()
+    want, want_piv = python_rref(rows, ncols, p)
+    red, piv = rref_mod(left, p)
+    assert red.tolist() == [row[hidden:] for row, c in zip(want, want_piv)
+                            if c >= hidden]
+    assert piv == [c - hidden for c in want_piv if c >= hidden]
 
 
 def test_reduce_is_exact_past_int64():

@@ -397,20 +397,22 @@ def test_point_and_shift_are_exact_past_int64():
 
 # -- conjoin against the kernel-then-project oracle ------------------------
 
+LAW_PRIMES = (2, 3, 5, 65521, 2**31 - 1, 4294967311, 2**61 - 1, 2**63 - 25)
+
 
 @st.composite
 def conjoin_systems(draw):
     """(p, width, parts, keep, dom, cod) for `conjoin`: parts on random
     columns (repeats allowed, some total or empty), `keep` drawn with
     repeats, and spare columns that no part touches."""
-    p = draw(st.sampled_from((2, 3, 5, 7, 65521)))
-    used = draw(st.integers(0, 7))
+    p = draw(st.sampled_from(LAW_PRIMES))
+    used = draw(st.integers(0, 13))
     width = used + draw(st.integers(0, 3))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     parts = []
     for kind in draw(st.lists(st.sampled_from(("random", "total", "empty")),
-                              max_size=4)):
-        cols = [rng.randrange(used) for _ in range(rng.randrange(4))] if used else []
+                              max_size=8)):
+        cols = [rng.randrange(used) for _ in range(rng.randrange(7))] if used else []
         n = rng.randrange(len(cols) + 1)
         if kind == "total":
             r = total(p, n, len(cols) - n)
@@ -449,6 +451,13 @@ def test_conjoin_edge_cases_match_kernel_then_project():
         "part without rows": (2, [(total(p, 1, 1), [0, 1])], [1, 0], 1, 1),
         # (x0, x1) = (2, 3) and (x1, x0) = (2, 3) at once: no point
         "empty result": (2, [(point, [0, 1]), (point, [1, 0])], [0], 1, 0),
+        # two rows, both spent at hidden columns 0 and 1, before column 2
+        "rows spent early": (4, [(spider, [0, 1, 2])], [3], 0, 1),
+        # hidden column 0 is touched by no row while rows are left
+        "untouched hidden": (4, [(point, [1, 3]), (spider, [2, 1, 1])],
+                             [3, 2], 1, 1),
+        # the first row is zero at hidden column 0: the pivot row is swapped up
+        "pivot swap": (3, [(point, [1, 2]), (spider, [0, 2, 2])], [1, 2], 1, 1),
     }
     for name, (width, parts, keep, dom, cod) in cases.items():
         got = conjoin(p, width, parts, keep, dom, cod)
@@ -489,8 +498,6 @@ def test_conjoin_adds_repeated_columns_exactly(p):
 
 
 # -- composition laws at every prime -----------------------------------------
-
-LAW_PRIMES = (2, 3, 5, 65521, 2**31 - 1, 4294967311, 2**61 - 1, 2**63 - 25)
 
 
 def same_points(r, s):

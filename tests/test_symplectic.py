@@ -464,11 +464,16 @@ def test_format_dilation_is_frozen():
                                % (sub.space.n, dil.m, dil.d, len(dil.gates)))
 
 
+# d of the one 16-qudit code per prime whose written encoder is evaluated
+WIDE_ENCODERS = {3: 8, 2**63 - 25: 3}
+
+
 @pytest.mark.parametrize("p", DILATION_PRIMES)
 def test_written_encoder_evaluates_to_the_encoder(p):
     """The file format_dilation writes parses as a diagram whose relation
-    is the encoder, for every d at n <= 6, shifted when n + d is odd;
-    the cases use all five gate kinds."""
+    is the encoder, for every d at n <= 6, shifted when n + d is odd,
+    and for a 16-qudit code of hundreds of nodes at two primes; the
+    cases use all five gate kinds."""
     rng = random.Random(p % 1013)
     # one stabilizer z on the last wire: the dilation must permute
     space = SymplecticSpace(p, 2)
@@ -477,6 +482,8 @@ def test_written_encoder_evaluates_to_the_encoder(p):
     for n in range(1, 7):
         for d in range(n + 1):
             subs.append(random_code(rng, p, n, d, shifted=(n + d) % 2)[0])
+    if p in WIDE_ENCODERS:
+        subs.append(random_code(rng, p, 16, WIDE_ENCODERS[p])[0])
     kinds = set()
     for sub in subs:
         dil = dilation(sub)
